@@ -190,6 +190,9 @@ StatusOr<RecoveryPoint> RunPoint(size_t sessions, size_t participants) {
                [&] { return faults.crashed(); })) {
     return InternalError("crash point never fired");
   }
+  // WAL records the crashed host wrote; the replacement host's counters
+  // start from zero.
+  point.wal_records = host->persist_counters().wal_records;
   host.reset();
   // Downtime long enough for every poller to rack up reconnect_after
   // consecutive failures and start hammering the (dead) resume endpoint.
@@ -207,7 +210,6 @@ StatusOr<RecoveryPoint> RunPoint(size_t sessions, size_t participants) {
   point.recovery_wall_ms_per_session =
       point.recovery_wall_ms / static_cast<double>(sessions);
   point.recovered = host->metrics().sessions_recovered;
-  point.wal_records = host->persist_counters().wal_records;
 
   // Resync cost: content bytes served until every poller is back (signed
   // resume + full snapshot), which is exactly the restart storm's bill.
@@ -284,9 +286,10 @@ int main() {
                 point->resync_bytes_per_participant,
                 static_cast<unsigned long long>(point->recovered),
                 point->wall_seconds);
-    // The recovery proof must hold at every point: every session restored,
-    // every poller back via signed resume, zero fresh joins.
-    if (point->recovered != sessions ||
+    // The recovery proof must hold at every point: WAL records written
+    // before the crash, every session restored, every poller back via
+    // signed resume, zero fresh joins.
+    if (point->wal_records == 0 || point->recovered != sessions ||
         point->fresh_joins_after_recovery != 0) {
       shape_ok = false;
     }

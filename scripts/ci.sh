@@ -137,6 +137,36 @@ check_hotpath() {
   fi
 }
 
+check_delta() {
+  local build_dir="$1"
+  local artifact_dir="${build_dir}/ci-delta-json"
+  echo "=== ${build_dir}: delta wire gate ==="
+  rm -rf "${artifact_dir}"
+  mkdir -p "${artifact_dir}"
+  RCB_BENCH_JSON_DIR="${artifact_dir}" "${build_dir}/bench/bench_delta" \
+      > /dev/null
+  local artifact="${artifact_dir}/BENCH_delta.json"
+  "${build_dir}/tools/validate_bench_json" "${artifact}"
+  if command -v jq >/dev/null; then
+    # The sim-provenance metrics (patches served, fallbacks, delta bytes per
+    # update, the full/delta byte ratio and the update latency
+    # distributions) follow from the patches on the wire alone, so a change
+    # to the diff, digest or codec that alters any patch moves them. They
+    # must equal the committed artifact exactly, in both builds.
+    local committed="bench-artifacts/BENCH_delta.json"
+    jq -e --slurpfile cur "${artifact}" \
+          '[.metrics[] | select(.provenance == "sim")] as $want
+           | [$cur[0].metrics[] | select(.provenance == "sim")] as $got
+           | ([$want[].name] | contains(["patches_served", "patch_fallbacks",
+                 "delta_update_bytes", "update_bytes_ratio",
+                 "full_update_latency_us", "delta_update_latency_us"]))
+             and .config_fingerprint == $cur[0].config_fingerprint
+             and $want == $got' "${committed}" > /dev/null ||
+      { echo "bench_delta sim metrics differ from ${committed}:" \
+             "the patches on the wire changed" >&2; return 1; }
+  fi
+}
+
 check_recovery() {
   local build_dir="$1"
   local dir="${build_dir}/ci-recovery"
@@ -163,7 +193,9 @@ check_recovery() {
            and ([.metrics[] | select(.name == "n16_sessions_recovered")
                  | .value] == [16])
            and ([.metrics[] | select(.name == "n16_fresh_joins_after_recovery")
-                 | .value] == [0])' "${artifact}" > /dev/null
+                 | .value] == [0])
+           and ([.metrics[] | select(.name | test("^n[0-9]+_wal_records$"))]
+                | length > 0 and all(.value > 0))' "${artifact}" > /dev/null
   fi
   # Torn-write corpus: every truncated or bit-flipped checkpoint, and every
   # WAL with a damaged header, must be rejected with a clean exit 1 — never
@@ -450,6 +482,7 @@ run_suite() {
   "${build_dir}/tests/fuzz_test" --gtest_filter='*HostRouter*' --gtest_brief=1
   check_bench_json "${build_dir}"
   check_hotpath "${build_dir}"
+  check_delta "${build_dir}"
   check_scale_json "${build_dir}"
   check_recovery "${build_dir}"
   check_trace "${build_dir}"

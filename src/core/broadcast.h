@@ -28,6 +28,7 @@
 #include "src/core/content_generator.h"
 #include "src/core/protocol.h"
 #include "src/delta/patch_codec.h"
+#include "src/delta/tree_diff.h"
 #include "src/net/event_loop.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -73,11 +74,14 @@ struct BroadcastCounters {
 
 class SnapshotBroadcast {
  public:
-  // One materialized canonical tree (src/delta) with its version and digest;
-  // the delta path diffs a history of these against the current one.
+  // One materialized canonical tree (src/delta) with its version, its
+  // one-time serialization index and the digest of those bytes; the delta
+  // path diffs a history of these against the current one, so a version
+  // diffed as a base several times is never serialized again.
   struct BaseVersion {
     int64_t doc_time_ms = -1;
     std::unique_ptr<Element> tree;
+    delta::TreeIndex index;
     std::string digest;
   };
   // A memoized diff against one base version, shared by every participant

@@ -1,33 +1,36 @@
 #include "src/crypto/hmac.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "src/crypto/sha256.h"
 #include "src/util/base64.h"
 
 namespace rcb {
 
 std::string HmacSha256(std::string_view key, std::string_view message) {
-  std::string key_block(Sha256::kBlockSize, '\0');
+  uint8_t key_block[Sha256::kBlockSize] = {};
   if (key.size() > Sha256::kBlockSize) {
     std::string hashed = Sha256::Digest(key);
-    std::copy(hashed.begin(), hashed.end(), key_block.begin());
+    std::copy(hashed.begin(), hashed.end(), key_block);
   } else {
-    std::copy(key.begin(), key.end(), key_block.begin());
+    std::copy(key.begin(), key.end(), key_block);
   }
 
-  std::string inner_pad(Sha256::kBlockSize, '\0');
-  std::string outer_pad(Sha256::kBlockSize, '\0');
+  char inner_pad[Sha256::kBlockSize];
+  char outer_pad[Sha256::kBlockSize];
   for (size_t i = 0; i < Sha256::kBlockSize; ++i) {
     inner_pad[i] = static_cast<char>(key_block[i] ^ 0x36);
     outer_pad[i] = static_cast<char>(key_block[i] ^ 0x5c);
   }
 
   Sha256 inner;
-  inner.Update(inner_pad);
+  inner.Update(std::string_view(inner_pad, Sha256::kBlockSize));
   inner.Update(message);
   auto inner_digest = inner.Finish();
 
   Sha256 outer;
-  outer.Update(outer_pad);
+  outer.Update(std::string_view(outer_pad, Sha256::kBlockSize));
   outer.Update(std::string_view(reinterpret_cast<const char*>(inner_digest.data()),
                                 inner_digest.size()));
   auto digest = outer.Finish();

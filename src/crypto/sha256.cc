@@ -1,14 +1,21 @@
 #include "src/crypto/sha256.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
+#include "src/crypto/sha256_internal.h"
 #include "src/util/base64.h"
 
+#ifdef RCB_SHA256_HAS_SHANI_KERNEL
+#include <immintrin.h>
+#endif
+
 namespace rcb {
+namespace sha256_internal {
 namespace {
 
-constexpr uint32_t kRoundConstants[64] = {
+alignas(16) constexpr uint32_t kRoundConstants[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -23,6 +30,152 @@ constexpr uint32_t kRoundConstants[64] = {
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#ifdef RCB_SHA256_HAS_SHANI_KERNEL
+#define RCB_SHANI_TARGET __attribute__((target("sha,sse4.1"), always_inline))
+
+// Four rounds on message words W[4g..4g+3]. `abef`/`cdgh` hold the working
+// variables in the lane order SHA256RNDS2 expects.
+RCB_SHANI_TARGET inline void Rounds4(__m128i* abef, __m128i* cdgh,
+                                     __m128i msg, int g) {
+  __m128i wk = _mm_add_epi32(
+      msg, _mm_load_si128(
+               reinterpret_cast<const __m128i*>(kRoundConstants + 4 * g)));
+  *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+  wk = _mm_shuffle_epi32(wk, 0x0E);
+  *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, wk);
+}
+
+// Message schedule for the next four words from the previous sixteen,
+// oldest group first.
+RCB_SHANI_TARGET inline __m128i Schedule(__m128i w0, __m128i w1, __m128i w2,
+                                         __m128i w3) {
+  __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                            _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(t, w3);
+}
+#endif
+
+}  // namespace
+
+void CompressPortable(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(data[i * 4]) << 24) |
+             (static_cast<uint32_t>(data[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(data[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef RCB_SHA256_HAS_SHANI_KERNEL
+bool ShaNiSupported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(uint32_t state[8],
+                                                         const uint8_t* data,
+                                                         size_t blocks) {
+  // Big-endian word loads.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // state {a,b,c,d},{e,f,g,h} -> lanes ABEF / CDGH.
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const __m128i* in = reinterpret_cast<const __m128i*>(data);
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in + 0), kByteSwap);
+    Rounds4(&abef, &cdgh, w0, 0);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), kByteSwap);
+    Rounds4(&abef, &cdgh, w1, 1);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), kByteSwap);
+    Rounds4(&abef, &cdgh, w2, 2);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), kByteSwap);
+    Rounds4(&abef, &cdgh, w3, 3);
+    for (int g = 4; g < 16; g += 4) {
+      w0 = Schedule(w0, w1, w2, w3);
+      Rounds4(&abef, &cdgh, w0, g);
+      w1 = Schedule(w1, w2, w3, w0);
+      Rounds4(&abef, &cdgh, w1, g + 1);
+      w2 = Schedule(w2, w3, w0, w1);
+      Rounds4(&abef, &cdgh, w2, g + 2);
+      w3 = Schedule(w3, w0, w1, w2);
+      Rounds4(&abef, &cdgh, w3, g + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#else
+bool ShaNiSupported() { return false; }
+#endif
+
+}  // namespace sha256_internal
+
+namespace {
+
+using CompressFn = void (*)(uint32_t*, const uint8_t*, size_t);
+
+// The kernel is chosen once per process from the CPU's feature bits; the
+// portable one is the only path where SHA-NI is absent.
+void Compress(uint32_t state[8], const uint8_t* data, size_t blocks) {
+#ifdef RCB_SHA256_HAS_SHANI_KERNEL
+  static const CompressFn kernel = sha256_internal::ShaNiSupported()
+                                       ? sha256_internal::CompressShaNi
+                                       : sha256_internal::CompressPortable;
+  kernel(state, data, blocks);
+#else
+  sha256_internal::CompressPortable(state, data, blocks);
+#endif
+}
+
 }  // namespace
 
 Sha256::Sha256() {
@@ -32,87 +185,51 @@ Sha256::Sha256() {
   std::memcpy(state_, kInit, sizeof(state_));
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(std::string_view data) {
   assert(!finished_);
   total_len_ += data.size();
-  size_t i = 0;
+  const uint8_t* in = reinterpret_cast<const uint8_t*>(data.data());
+  size_t len = data.size();
   if (buffer_len_ > 0) {
-    while (buffer_len_ < kBlockSize && i < data.size()) {
-      buffer_[buffer_len_++] = static_cast<uint8_t>(data[i++]);
+    size_t take = std::min(kBlockSize - buffer_len_, len);
+    std::memcpy(buffer_ + buffer_len_, in, take);
+    buffer_len_ += take;
+    in += take;
+    len -= take;
+    if (buffer_len_ < kBlockSize) {
+      return;
     }
-    if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  while (i + kBlockSize <= data.size()) {
-    ProcessBlock(reinterpret_cast<const uint8_t*>(data.data()) + i);
-    i += kBlockSize;
+  // Whole blocks go to the kernel in one run, straight from the input.
+  if (size_t blocks = len / kBlockSize; blocks > 0) {
+    Compress(state_, in, blocks);
+    in += blocks * kBlockSize;
+    len -= blocks * kBlockSize;
   }
-  while (i < data.size()) {
-    buffer_[buffer_len_++] = static_cast<uint8_t>(data[i++]);
-  }
+  std::memcpy(buffer_, in, len);
+  buffer_len_ = len;
 }
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
   assert(!finished_);
   finished_ = true;
-  uint64_t bit_len = total_len_ * 8;
-  // Append 0x80 then zeros until 8 bytes remain in the block, then the length.
-  uint8_t pad = 0x80;
-  Update_Internal(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != kBlockSize - 8) {
-    Update_Internal(&zero, 1);
+  // Append 0x80, zeros until 8 bytes remain in a block, then the bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  uint64_t bit_len = total_len_ * 8;
   for (int i = 7; i >= 0; --i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len & 0xFF);
+    buffer_[kBlockSize - 8 + i] = static_cast<uint8_t>(bit_len & 0xFF);
     bit_len >>= 8;
   }
-  Update_Internal(len_bytes, 8);
-  assert(buffer_len_ == 0);
+  Compress(state_, buffer_, 1);
+  buffer_len_ = 0;
 
   std::array<uint8_t, kDigestSize> digest;
   for (int i = 0; i < 8; ++i) {
@@ -122,17 +239,6 @@ std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
     digest[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
   }
   return digest;
-}
-
-// Padding helper: like Update but does not count towards total_len_.
-void Sha256::Update_Internal(const uint8_t* data, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    buffer_[buffer_len_++] = data[i];
-    if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
-  }
 }
 
 std::string Sha256::Digest(std::string_view data) {

@@ -2,6 +2,9 @@
 //
 // The paper's request authentication (§3.4) uses keyed-hash MACs computed by
 // a JavaScript crypto library; we provide the equivalent primitive here.
+// Blocks are compressed by the SHA-NI kernel on x86 CPUs that have the
+// extension and by a portable kernel everywhere else, chosen once per
+// process (src/crypto/sha256_internal.h).
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 
@@ -29,10 +32,6 @@ class Sha256 {
   static std::string HexDigest(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-  // Feeds padding bytes without advancing total_len_.
-  void Update_Internal(const uint8_t* data, size_t len);
-
   uint32_t state_[8];
   uint64_t total_len_ = 0;
   uint8_t buffer_[kBlockSize];

@@ -1,10 +1,13 @@
 #include "src/delta/tree_diff.h"
 
 #include <algorithm>
-#include <map>
+#include <deque>
+#include <string_view>
+#include <utility>
 
 #include "src/crypto/sha256.h"
 #include "src/html/serializer.h"
+#include "src/util/strings.h"
 
 namespace rcb::delta {
 namespace {
@@ -71,8 +74,118 @@ void EmitReplace(const Node& target, const std::vector<uint32_t>& path,
   ops->push_back(std::move(op));
 }
 
-void DiffNodePair(const Node& base, const Node& target,
-                  std::vector<uint32_t>* path, std::vector<PatchOp>* ops);
+// One node of an indexed tree: the node and its pre-order index.
+struct IndexedNode {
+  const Node* node;
+  uint32_t id;
+};
+
+// Reconciliation key (see file comment). `text` views the indexed tree: the
+// data-rcb-id value for kind 'i', the start tag's bytes for kind 'e'.
+struct Key {
+  char kind;
+  std::string_view text;
+  bool operator==(const Key&) const = default;
+};
+
+class IndexedDiff {
+ public:
+  IndexedDiff(const TreeIndex& base, const TreeIndex& target,
+              std::vector<PatchOp>* ops)
+      : base_(base), target_(target), ops_(ops) {}
+
+  void DiffNodePair(IndexedNode base, IndexedNode target,
+                    std::vector<uint32_t>* path);
+
+ private:
+  static std::string_view Bytes(const TreeIndex& index, uint32_t id) {
+    const NodeSpan& span = index.spans[id];
+    return std::string_view(index.bytes).substr(span.begin,
+                                                span.end - span.begin);
+  }
+
+  // `<tag attr="value" ...>`: attribute values are escaped, so the first
+  // '>' closes the start tag. Empty for an element under a void element.
+  static std::string_view StartTag(const TreeIndex& index, uint32_t id) {
+    std::string_view bytes = Bytes(index, id);
+    return bytes.substr(0, bytes.find('>') + 1);
+  }
+
+  // Equal canonical bytes mean equal subtrees — same tag, same attributes
+  // in the same order, same children — so a full diff would emit no op
+  // here. Not so when a node in either subtree emits no bytes of its own
+  // (an empty text node, or a child of a void element): such pairs are
+  // diffed in full.
+  bool SameSubtree(IndexedNode base, IndexedNode target) const {
+    if (Bytes(base_, base.id) != Bytes(target_, target.id)) {
+      return false;
+    }
+    for (const auto& [index, root] : {std::pair{&base_, base.id},
+                                      std::pair{&target_, target.id}}) {
+      for (uint32_t i = root; i < index->spans[root].next; ++i) {
+        if (index->spans[i].begin == index->spans[i].end) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  Key NodeKey(const TreeIndex& index, IndexedNode indexed) {
+    switch (indexed.node->type()) {
+      case NodeType::kText:
+        return {'t', {}};
+      case NodeType::kComment:
+        return {'c', {}};
+      case NodeType::kDoctype:
+        return {'d', {}};
+      case NodeType::kDocument:
+        return {'D', {}};
+      case NodeType::kElement:
+        break;
+    }
+    const Element& element = *indexed.node->AsElement();
+    for (const auto& [name, value] : element.attributes()) {
+      if (EqualsIgnoreCase(name, "data-rcb-id")) {
+        return {'i', value};
+      }
+    }
+    if (std::string_view start_tag = StartTag(index, indexed.id);
+        !start_tag.empty()) {
+      return {'e', start_tag};
+    }
+    // Under a void element nothing is serialized; spell the key out. All
+    // siblings are in the same case, so keys within one child list agree.
+    std::string& material = unserialized_keys_.emplace_back(element.tag_name());
+    for (const auto& [name, value] : element.attributes()) {
+      material += '\x1f';
+      material += name;
+      material += '=';
+      material += value;
+    }
+    return {'e', material};
+  }
+
+  static std::vector<IndexedNode> Children(IndexedNode parent,
+                                           const TreeIndex& index) {
+    std::vector<IndexedNode> children;
+    children.reserve(parent.node->child_count());
+    uint32_t id = parent.id + 1;
+    for (const auto& child : parent.node->children()) {
+      children.push_back({child.get(), id});
+      id = index.spans[id].next;
+    }
+    return children;
+  }
+
+  void ReconcileChildren(IndexedNode base, IndexedNode target,
+                         std::vector<uint32_t>* path);
+
+  const TreeIndex& base_;
+  const TreeIndex& target_;
+  std::vector<PatchOp>* ops_;
+  std::deque<std::string> unserialized_keys_;  // stable storage for Key::text
+};
 
 // Reconciles the children of one matched element pair: keyed LCS keeps the
 // stable spine, leftovers are re-paired by key (moves) and then by tag
@@ -81,39 +194,62 @@ void DiffNodePair(const Node& base, const Node& target,
 // positions left to right (so every move satisfies from >= to), and only
 // then does the differ recurse into the matched pairs at their final
 // indexes — keeping every emitted path valid at apply time.
-void ReconcileChildren(const Element& base, const Element& target,
-                       std::vector<uint32_t>* path, std::vector<PatchOp>* ops) {
-  const size_t m = base.child_count();
-  const size_t n = target.child_count();
-  std::vector<std::string> base_keys(m), target_keys(n);
+//
+// The LCS traceback pairs equal keys greedily from the front, so the common
+// prefix of equal keys is paired up front and the table covers only the
+// rest. The common suffix is not trimmed: that would change which of two
+// equal-keyed children gets paired.
+void IndexedDiff::ReconcileChildren(IndexedNode base, IndexedNode target,
+                                    std::vector<uint32_t>* path) {
+  const std::vector<IndexedNode> base_children = Children(base, base_);
+  const std::vector<IndexedNode> target_children = Children(target, target_);
+  const size_t m = base_children.size();
+  const size_t n = target_children.size();
+  std::vector<Key> base_keys(m), target_keys(n);
   for (size_t i = 0; i < m; ++i) {
-    base_keys[i] = NodeKey(*base.child_at(i));
+    base_keys[i] = NodeKey(base_, base_children[i]);
   }
   for (size_t j = 0; j < n; ++j) {
-    target_keys[j] = NodeKey(*target.child_at(j));
+    target_keys[j] = NodeKey(target_, target_children[j]);
+  }
+  size_t prefix = 0;
+  while (prefix < m && prefix < n &&
+         base_keys[prefix] == target_keys[prefix]) {
+    ++prefix;
   }
 
-  // Longest common subsequence over keys.
-  std::vector<std::vector<uint32_t>> lcs(m + 1,
-                                         std::vector<uint32_t>(n + 1, 0));
-  for (size_t i = m; i-- > 0;) {
-    for (size_t j = n; j-- > 0;) {
-      lcs[i][j] = base_keys[i] == target_keys[j]
-                      ? lcs[i + 1][j + 1] + 1
-                      : std::max(lcs[i + 1][j], lcs[i][j + 1]);
-    }
-  }
   std::vector<int> pair_of_target(n, -1);  // base index matched to target j
   std::vector<bool> base_matched(m, false);
-  {
+  for (size_t k = 0; k < prefix; ++k) {
+    pair_of_target[k] = static_cast<int>(k);
+    base_matched[k] = true;
+  }
+
+  // Longest common subsequence over the remaining keys, one flat table:
+  // lcs(i, j) covers base[prefix + i..] and target[prefix + j..].
+  const size_t rm = m - prefix;
+  const size_t rn = n - prefix;
+  if (rm > 0 && rn > 0) {
+    const size_t width = rn + 1;
+    std::vector<uint32_t> lcs((rm + 1) * width, 0);
+    auto at = [&](size_t i, size_t j) -> uint32_t& {
+      return lcs[i * width + j];
+    };
+    for (size_t i = rm; i-- > 0;) {
+      for (size_t j = rn; j-- > 0;) {
+        at(i, j) = base_keys[prefix + i] == target_keys[prefix + j]
+                       ? at(i + 1, j + 1) + 1
+                       : std::max(at(i + 1, j), at(i, j + 1));
+      }
+    }
     size_t i = 0, j = 0;
-    while (i < m && j < n) {
-      if (base_keys[i] == target_keys[j]) {
-        pair_of_target[j] = static_cast<int>(i);
-        base_matched[i] = true;
+    while (i < rm && j < rn) {
+      if (base_keys[prefix + i] == target_keys[prefix + j]) {
+        pair_of_target[prefix + j] = static_cast<int>(prefix + i);
+        base_matched[prefix + i] = true;
         ++i;
         ++j;
-      } else if (lcs[i + 1][j] >= lcs[i][j + 1]) {
+      } else if (at(i + 1, j) >= at(i, j + 1)) {
         ++i;
       } else {
         ++j;
@@ -121,54 +257,40 @@ void ReconcileChildren(const Element& base, const Element& target,
     }
   }
 
-  // Crossing pairs the LCS dropped: re-pair leftovers by key (becomes a
-  // move), then element leftovers by tag (attribute churn on unkeyed
-  // elements — the recursion emits the attr ops).
-  std::map<std::string, std::vector<size_t>> spare_by_key;
-  for (size_t i = 0; i < m; ++i) {
-    if (!base_matched[i]) {
-      spare_by_key[base_keys[i]].push_back(i);
-    }
-  }
-  for (size_t j = 0; j < n; ++j) {
+  // Crossing pairs the LCS dropped: re-pair each leftover target with the
+  // first leftover base of the same key (becomes a move), then element
+  // leftovers by tag (attribute churn on unkeyed elements — the recursion
+  // emits the attr ops).
+  for (size_t j = prefix; j < n; ++j) {
     if (pair_of_target[j] >= 0) {
       continue;
     }
-    auto it = spare_by_key.find(target_keys[j]);
-    if (it != spare_by_key.end() && !it->second.empty()) {
-      size_t i = it->second.front();
-      it->second.erase(it->second.begin());
-      pair_of_target[j] = static_cast<int>(i);
-      base_matched[i] = true;
-    }
-  }
-  std::map<std::string, std::vector<size_t>> spare_by_tag;
-  for (size_t i = 0; i < m; ++i) {
-    if (!base_matched[i]) {
-      if (const Element* el = base.child_at(i)->AsElement()) {
-        spare_by_tag[el->tag_name()].push_back(i);
+    for (size_t i = prefix; i < m; ++i) {
+      if (!base_matched[i] && base_keys[i] == target_keys[j]) {
+        pair_of_target[j] = static_cast<int>(i);
+        base_matched[i] = true;
+        break;
       }
     }
   }
-  for (size_t j = 0; j < n; ++j) {
-    if (pair_of_target[j] >= 0) {
+  for (size_t j = prefix; j < n; ++j) {
+    const Element* el = target_children[j].node->AsElement();
+    if (pair_of_target[j] >= 0 || el == nullptr) {
       continue;
     }
-    const Element* el = target.child_at(j)->AsElement();
-    if (el == nullptr) {
-      continue;
-    }
-    auto it = spare_by_tag.find(el->tag_name());
-    if (it != spare_by_tag.end() && !it->second.empty()) {
-      size_t i = it->second.front();
-      it->second.erase(it->second.begin());
-      pair_of_target[j] = static_cast<int>(i);
-      base_matched[i] = true;
+    for (size_t i = prefix; i < m; ++i) {
+      const Element* base_el = base_children[i].node->AsElement();
+      if (!base_matched[i] && base_el != nullptr &&
+          base_el->tag_name() == el->tag_name()) {
+        pair_of_target[j] = static_cast<int>(i);
+        base_matched[i] = true;
+        break;
+      }
     }
   }
 
   // Phase 1: removals, highest index first so earlier indexes stay valid.
-  for (size_t i = m; i-- > 0;) {
+  for (size_t i = m; i-- > prefix;) {
     if (base_matched[i]) {
       continue;
     }
@@ -176,13 +298,15 @@ void ReconcileChildren(const Element& base, const Element& target,
     op.type = PatchOpType::kRemove;
     op.path = *path;
     op.index = static_cast<uint32_t>(i);
-    ops->push_back(std::move(op));
+    ops_->push_back(std::move(op));
   }
 
-  // Working order of the surviving base children after the removals.
+  // Working order of the surviving base children after the removals; the
+  // prefix already sits at its final positions, so `work[k]` is position
+  // prefix + k.
   std::vector<int> work;
-  work.reserve(n);
-  for (size_t i = 0; i < m; ++i) {
+  work.reserve(rn);
+  for (size_t i = prefix; i < m; ++i) {
     if (base_matched[i]) {
       work.push_back(static_cast<int>(i));
     }
@@ -191,31 +315,32 @@ void ReconcileChildren(const Element& base, const Element& target,
   // Phase 2: left-to-right, put the right node at each target position.
   // Positions < j are already final, so a paired node always sits at >= j
   // and every move is backward (from >= to).
-  for (size_t j = 0; j < n; ++j) {
+  for (size_t j = prefix; j < n; ++j) {
+    const size_t slot = j - prefix;
     int paired = pair_of_target[j];
     if (paired >= 0) {
-      size_t p = j;
+      size_t p = slot;
       while (p < work.size() && work[p] != paired) {
         ++p;
       }
-      if (p != j) {
+      if (p != slot) {
         PatchOp op;
         op.type = PatchOpType::kMove;
         op.path = *path;
-        op.from = static_cast<uint32_t>(p);
+        op.from = static_cast<uint32_t>(prefix + p);
         op.to = static_cast<uint32_t>(j);
-        ops->push_back(std::move(op));
+        ops_->push_back(std::move(op));
         work.erase(work.begin() + static_cast<long>(p));
-        work.insert(work.begin() + static_cast<long>(j), paired);
+        work.insert(work.begin() + static_cast<long>(slot), paired);
       }
     } else {
       PatchOp op;
       op.type = PatchOpType::kInsert;
       op.path = *path;
       op.index = static_cast<uint32_t>(j);
-      op.html = SerializeNode(*target.child_at(j));
-      ops->push_back(std::move(op));
-      work.insert(work.begin() + static_cast<long>(j), -1);
+      op.html = SerializeNode(*target_children[j].node);
+      ops_->push_back(std::move(op));
+      work.insert(work.begin() + static_cast<long>(slot), -1);
     }
   }
 
@@ -226,44 +351,53 @@ void ReconcileChildren(const Element& base, const Element& target,
       continue;
     }
     path->push_back(static_cast<uint32_t>(j));
-    DiffNodePair(*base.child_at(static_cast<size_t>(paired)),
-                 *target.child_at(j), path, ops);
+    DiffNodePair(base_children[static_cast<size_t>(paired)],
+                 target_children[j], path);
     path->pop_back();
   }
 }
 
-void DiffNodePair(const Node& base, const Node& target,
-                  std::vector<uint32_t>* path, std::vector<PatchOp>* ops) {
-  const Element* base_el = base.AsElement();
-  const Element* target_el = target.AsElement();
-  if (base_el != nullptr && target_el != nullptr) {
-    if (base_el->tag_name() != target_el->tag_name() ||
-        !AttributeOrderCompatible(*base_el, *target_el)) {
-      // Same data-rcb-id can land on a different element across generations;
-      // attribute reordering cannot be expressed with set-attr ops. Both are
-      // rare — replace the subtree wholesale.
-      EmitReplace(target, *path, ops);
-      return;
-    }
-    DiffAttributes(*base_el, *target_el, *path, ops);
-    ReconcileChildren(*base_el, *target_el, path, ops);
+void IndexedDiff::DiffNodePair(IndexedNode base, IndexedNode target,
+                               std::vector<uint32_t>* path) {
+  if (SameSubtree(base, target)) {
     return;
   }
-  if (base.type() == NodeType::kText && target.type() == NodeType::kText) {
-    const auto& base_text = static_cast<const Text&>(base);
-    const auto& target_text = static_cast<const Text&>(target);
+  const Element* base_el = base.node->AsElement();
+  const Element* target_el = target.node->AsElement();
+  if (base_el != nullptr && target_el != nullptr) {
+    // Byte-equal start tags: same tag and attribute list, nothing to do
+    // before the children.
+    std::string_view base_tag = StartTag(base_, base.id);
+    if (base_tag.empty() || base_tag != StartTag(target_, target.id)) {
+      if (base_el->tag_name() != target_el->tag_name() ||
+          !AttributeOrderCompatible(*base_el, *target_el)) {
+        // Same data-rcb-id can land on a different element across
+        // generations; attribute reordering cannot be expressed with
+        // set-attr ops. Both are rare — replace the subtree wholesale.
+        EmitReplace(*target.node, *path, ops_);
+        return;
+      }
+      DiffAttributes(*base_el, *target_el, *path, ops_);
+    }
+    ReconcileChildren(base, target, path);
+    return;
+  }
+  if (base.node->type() == NodeType::kText &&
+      target.node->type() == NodeType::kText) {
+    const auto& base_text = static_cast<const Text&>(*base.node);
+    const auto& target_text = static_cast<const Text&>(*target.node);
     if (base_text.data() != target_text.data()) {
       PatchOp op;
       op.type = PatchOpType::kSetText;
       op.path = *path;
       op.value = target_text.data();
-      ops->push_back(std::move(op));
+      ops_->push_back(std::move(op));
     }
     return;
   }
   // Comment / doctype pairs: replace when their serialization differs.
-  if (SerializeNode(base) != SerializeNode(target)) {
-    EmitReplace(target, *path, ops);
+  if (SerializeNode(*base.node) != SerializeNode(*target.node)) {
+    EmitReplace(*target.node, *path, ops_);
   }
 }
 
@@ -323,32 +457,10 @@ std::unique_ptr<Element> CanonicalizeDocument(const Document& document) {
   return canonical;
 }
 
-std::string NodeKey(const Node& node) {
-  switch (node.type()) {
-    case NodeType::kText:
-      return "t";
-    case NodeType::kComment:
-      return "c";
-    case NodeType::kDoctype:
-      return "d";
-    case NodeType::kDocument:
-      return "D";
-    case NodeType::kElement:
-      break;
-  }
-  const Element& element = *node.AsElement();
-  if (auto id = element.GetAttribute("data-rcb-id"); id.has_value()) {
-    return "i:" + *id;
-  }
-  std::string material = element.tag_name();
-  for (const auto& [name, value] : element.attributes()) {
-    material += '\x1f';
-    material += name;
-    material += '=';
-    material += value;
-  }
-  return "e:" + element.tag_name() + ':' +
-         Sha256::HexDigest(material).substr(0, 12);
+void IndexTree(const Element& canonical_root, TreeIndex* index) {
+  index->bytes.clear();
+  index->spans.clear();
+  SerializeNodeInto(canonical_root, &index->bytes, &index->spans);
 }
 
 std::string TreeDigest(const Element& canonical_root) {
@@ -361,11 +473,27 @@ std::string TreeDigest(const Element& canonical_root) {
   return Sha256::HexDigest(scratch);
 }
 
-std::vector<PatchOp> DiffTrees(const Element& base, const Element& target) {
+std::string TreeDigest(const TreeIndex& index) {
+  return Sha256::HexDigest(index.bytes);
+}
+
+std::vector<PatchOp> DiffTrees(const Element& base, const TreeIndex& base_index,
+                               const Element& target,
+                               const TreeIndex& target_index) {
   std::vector<PatchOp> ops;
   std::vector<uint32_t> path;
-  DiffNodePair(base, target, &path, &ops);
+  IndexedDiff(base_index, target_index, &ops)
+      .DiffNodePair({&base, 0}, {&target, 0}, &path);
   return ops;
+}
+
+std::vector<PatchOp> DiffTrees(const Element& base, const Element& target) {
+  // Page-sized buffers, kept across calls like TreeDigest's.
+  static thread_local TreeIndex base_index;
+  static thread_local TreeIndex target_index;
+  IndexTree(base, &base_index);
+  IndexTree(target, &target_index);
+  return DiffTrees(base, base_index, target, target_index);
 }
 
 std::string SummarizeOps(const std::vector<PatchOp>& ops) {

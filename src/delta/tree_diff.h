@@ -13,9 +13,14 @@
 //   * elements carrying data-rcb-id (assigned by the Fig. 3 event-rewriting
 //     pass) are keyed by it — stable across attribute edits, which is what
 //     turns a form co-fill into a one-op set-attr patch,
-//   * other elements are keyed by tag + attribute hash,
+//   * other elements are keyed by their tag and attributes in order (the
+//     start tag's canonical bytes, compared directly — nothing is hashed),
 //   * all text nodes share one key (edits become set-text, not churn),
 //   * comments and doctypes each share a per-type key.
+//
+// Each version is serialized once into a TreeIndex; its digest hashes those
+// bytes and the diff compares subtrees by them, so a subtree that did not
+// change costs one byte comparison (DESIGN.md §10.1).
 #ifndef SRC_DELTA_TREE_DIFF_H_
 #define SRC_DELTA_TREE_DIFF_H_
 
@@ -25,6 +30,7 @@
 #include <vector>
 
 #include "src/html/dom.h"
+#include "src/html/serializer.h"
 
 namespace rcb::delta {
 
@@ -68,15 +74,30 @@ void NormalizeTextNodes(Element* root);
 // document has no root element.
 std::unique_ptr<Element> CanonicalizeDocument(const Document& document);
 
-// Reconciliation key for one node (see file comment).
-std::string NodeKey(const Node& node);
+// A canonical tree serialized once: `bytes` is its canonical serialization
+// (what TreeDigest hashes) and `spans` places every node in it, in pre-order
+// (SerializeNodeInto). The index refers to the tree by position only, so it
+// stays valid as long as the tree is not mutated.
+struct TreeIndex {
+  std::string bytes;
+  std::vector<NodeSpan> spans;
+};
+
+// Serializes `canonical_root` into `index`, reusing its buffers.
+void IndexTree(const Element& canonical_root, TreeIndex* index);
 
 // Hex SHA-256 over the canonical serialization — the integrity digest the
-// patch header carries as baseDigest/docDigest.
+// patch header carries as baseDigest/docDigest. The index overload hashes
+// the bytes already serialized; both give the same digest for one tree.
 std::string TreeDigest(const Element& canonical_root);
+std::string TreeDigest(const TreeIndex& index);
 
 // Diffs two canonical trees: the returned ops transform `base` into a tree
-// that serializes identically to `target`.
+// that serializes identically to `target`. Each index must be IndexTree of
+// its tree. The two-argument form indexes both trees first.
+std::vector<PatchOp> DiffTrees(const Element& base, const TreeIndex& base_index,
+                               const Element& target,
+                               const TreeIndex& target_index);
 std::vector<PatchOp> DiffTrees(const Element& base, const Element& target);
 
 // Compact per-kind op tally, e.g. "ins=1,attr=2" (kinds in PatchOpType

@@ -7,27 +7,45 @@
 namespace rcb {
 namespace {
 
-void SerializeInto(const Node& node, std::string* out);
+void SerializeInto(const Node& node, std::string* out,
+                   std::vector<NodeSpan>* spans, bool raw_text_parent);
 
 void SerializeChildrenInto(const Node& node, std::string* out,
-                           bool raw_text_parent) {
+                           std::vector<NodeSpan>* spans, bool raw_text_parent) {
   for (const auto& child : node.children()) {
-    if (raw_text_parent && child->type() == NodeType::kText) {
-      // Script/style content is emitted verbatim.
-      out->append(static_cast<const Text*>(child.get())->data());
-    } else {
-      SerializeInto(*child, out);
-    }
+    SerializeInto(*child, out, spans, raw_text_parent);
   }
 }
 
-void SerializeInto(const Node& node, std::string* out) {
+// Spans for a subtree that emits no bytes (children of a void element).
+void RecordUnserialized(const Node& node, uint32_t at,
+                        std::vector<NodeSpan>* spans) {
+  const size_t index = spans->size();
+  spans->push_back({at, at, 0});
+  for (const auto& child : node.children()) {
+    RecordUnserialized(*child, at, spans);
+  }
+  (*spans)[index].next = static_cast<uint32_t>(spans->size());
+}
+
+void SerializeInto(const Node& node, std::string* out,
+                   std::vector<NodeSpan>* spans, bool raw_text_parent) {
+  size_t index = 0;
+  if (spans != nullptr) {
+    index = spans->size();
+    spans->push_back({static_cast<uint32_t>(out->size()), 0, 0});
+  }
   switch (node.type()) {
     case NodeType::kDocument:
-      SerializeChildrenInto(node, out, /*raw_text_parent=*/false);
+      SerializeChildrenInto(node, out, spans, /*raw_text_parent=*/false);
       break;
     case NodeType::kText:
-      HtmlEscapeAppend(static_cast<const Text&>(node).data(), out);
+      if (raw_text_parent) {
+        // Script/style content is emitted verbatim.
+        out->append(static_cast<const Text&>(node).data());
+      } else {
+        HtmlEscapeAppend(static_cast<const Text&>(node).data(), out);
+      }
       break;
     case NodeType::kComment:
       out->append("<!--");
@@ -52,15 +70,26 @@ void SerializeInto(const Node& node, std::string* out) {
       }
       out->push_back('>');
       if (IsVoidElement(element.tag_name())) {
-        return;
+        if (spans != nullptr) {
+          for (const auto& child : element.children()) {
+            RecordUnserialized(*child, static_cast<uint32_t>(out->size()),
+                               spans);
+          }
+        }
+        break;
       }
-      SerializeChildrenInto(element, out,
-                            HtmlTokenizer::IsRawTextElement(element.tag_name()));
+      SerializeChildrenInto(
+          element, out, spans,
+          HtmlTokenizer::IsRawTextElement(element.tag_name()));
       out->append("</");
       out->append(element.tag_name());
       out->push_back('>');
       break;
     }
+  }
+  if (spans != nullptr) {
+    (*spans)[index].end = static_cast<uint32_t>(out->size());
+    (*spans)[index].next = static_cast<uint32_t>(spans->size());
   }
 }
 
@@ -68,12 +97,13 @@ void SerializeInto(const Node& node, std::string* out) {
 
 std::string SerializeNode(const Node& node) {
   std::string out;
-  SerializeInto(node, &out);
+  SerializeInto(node, &out, nullptr, /*raw_text_parent=*/false);
   return out;
 }
 
-void SerializeNodeInto(const Node& node, std::string* out) {
-  SerializeInto(node, out);
+void SerializeNodeInto(const Node& node, std::string* out,
+                       std::vector<NodeSpan>* spans) {
+  SerializeInto(node, out, spans, /*raw_text_parent=*/false);
 }
 
 std::string SerializeChildren(const Node& node) {
@@ -82,7 +112,7 @@ std::string SerializeChildren(const Node& node) {
   if (const Element* element = node.AsElement()) {
     raw = HtmlTokenizer::IsRawTextElement(element->tag_name());
   }
-  SerializeChildrenInto(node, &out, raw);
+  SerializeChildrenInto(node, &out, nullptr, raw);
   return out;
 }
 

@@ -153,27 +153,34 @@ std::string HtmlEscape(std::string_view input) {
 }
 
 void HtmlEscapeAppend(std::string_view input, std::string* out) {
-  for (char c : input) {
-    switch (c) {
+  // Runs of bytes that need no escaping are appended in one call.
+  size_t run_start = 0;
+  for (size_t i = 0; i < input.size(); ++i) {
+    std::string_view entity;
+    switch (input[i]) {
       case '&':
-        out->append("&amp;");
+        entity = "&amp;";
         break;
       case '<':
-        out->append("&lt;");
+        entity = "&lt;";
         break;
       case '>':
-        out->append("&gt;");
+        entity = "&gt;";
         break;
       case '"':
-        out->append("&quot;");
+        entity = "&quot;";
         break;
       case '\'':
-        out->append("&#39;");
+        entity = "&#39;";
         break;
       default:
-        out->push_back(c);
+        continue;
     }
+    out->append(input.data() + run_start, i - run_start);
+    out->append(entity);
+    run_start = i + 1;
   }
+  out->append(input.data() + run_start, input.size() - run_start);
 }
 
 namespace {

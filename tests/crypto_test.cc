@@ -1,10 +1,15 @@
-// Unit tests for SHA-256, HMAC-SHA256 (standard test vectors), and session
-// key generation.
+// Unit tests for SHA-256 (both block kernels), HMAC-SHA256 (standard test
+// vectors), and session key generation.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "src/crypto/hmac.h"
 #include "src/crypto/session_key.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha256_internal.h"
 #include "src/util/base64.h"
 
 namespace rcb {
@@ -66,6 +71,99 @@ TEST(Sha256Test, BoundaryLengths) {
   }
 }
 
+// ---- Block kernels -------------------------------------------------------
+
+using CompressFn = void (*)(uint32_t*, const uint8_t*, size_t);
+
+// FIPS 180-4 padding around a bare kernel. `run_blocks` caps how many blocks
+// one kernel call gets, so multi-block runs and single-block calls are both
+// exercised.
+std::string KernelDigest(CompressFn compress, std::string_view message,
+                         size_t run_blocks) {
+  std::vector<uint8_t> padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % Sha256::kBlockSize != Sha256::kBlockSize - 8) {
+    padded.push_back(0);
+  }
+  uint64_t bit_len = static_cast<uint64_t>(message.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bit_len >> (i * 8)));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const size_t blocks = padded.size() / Sha256::kBlockSize;
+  for (size_t done = 0; done < blocks;) {
+    size_t run = std::min(run_blocks, blocks - done);
+    compress(state, padded.data() + done * Sha256::kBlockSize, run);
+    done += run;
+  }
+  std::string digest;
+  for (uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      digest.push_back(static_cast<char>(word >> shift));
+    }
+  }
+  return digest;
+}
+
+std::string PatternMessage(size_t n) {
+  std::string message(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    message[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  }
+  return message;
+}
+
+TEST(Sha256KernelTest, PortableKernelMatchesStreamingDigest) {
+  for (size_t n = 0; n <= 1024; ++n) {
+    std::string message = PatternMessage(n);
+    ASSERT_EQ(KernelDigest(sha256_internal::CompressPortable, message, 1),
+              Sha256::Digest(message))
+        << "length " << n;
+  }
+}
+
+TEST(Sha256KernelTest, ShaNiKernelMatchesPortableOnEveryLength) {
+#ifdef RCB_SHA256_HAS_SHANI_KERNEL
+  if (!sha256_internal::ShaNiSupported()) {
+    GTEST_SKIP() << "CPU lacks the SHA-NI extension; only the portable "
+                    "kernel runs here";
+  }
+  for (size_t n = 0; n <= 1024; ++n) {
+    std::string message = PatternMessage(n);
+    std::string portable =
+        KernelDigest(sha256_internal::CompressPortable, message, SIZE_MAX);
+    ASSERT_EQ(KernelDigest(sha256_internal::CompressShaNi, message, SIZE_MAX),
+              portable)
+        << "length " << n;
+    ASSERT_EQ(KernelDigest(sha256_internal::CompressShaNi, message, 1),
+              portable)
+        << "length " << n;
+  }
+#else
+  GTEST_SKIP() << "no SHA-NI kernel on this architecture";
+#endif
+}
+
+TEST(Sha256KernelTest, SplitUpdatesMatchPortableKernel) {
+  // Every split of a 300 B message hits the buffered head, the multi-block
+  // run and the tail in a different proportion; the streaming digest runs on
+  // whichever kernel this CPU selected.
+  const std::string message = PatternMessage(300);
+  const std::string expected =
+      KernelDigest(sha256_internal::CompressPortable, message, 1);
+  for (size_t split = 0; split <= message.size(); ++split) {
+    Sha256 hasher;
+    hasher.Update(std::string_view(message).substr(0, split));
+    hasher.Update(std::string_view(message).substr(split));
+    auto digest = hasher.Finish();
+    ASSERT_EQ(std::string(reinterpret_cast<const char*>(digest.data()),
+                          digest.size()),
+              expected)
+        << "split at " << split;
+  }
+}
+
 // RFC 4231 HMAC-SHA256 test vectors.
 TEST(HmacTest, Rfc4231Case1) {
   std::string key(20, '\x0b');
@@ -85,11 +183,31 @@ TEST(HmacTest, Rfc4231Case3) {
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
+TEST(HmacTest, Rfc4231Case4) {
+  std::string key;
+  for (char c = 0x01; c <= 0x19; ++c) {
+    key.push_back(c);
+  }
+  std::string message(50, '\xcd');
+  EXPECT_EQ(HmacSha256Hex(key, message),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+}
+
 TEST(HmacTest, Rfc4231Case6LongKey) {
   std::string key(131, '\xaa');
   EXPECT_EQ(HmacSha256Hex(key, "Test Using Larger Than Block-Size Key - "
                                "Hash Key First"),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacTest, Rfc4231Case7LongKeyLongData) {
+  std::string key(131, '\xaa');
+  EXPECT_EQ(HmacSha256Hex(key,
+                          "This is a test using a larger than block-size key "
+                          "and a larger than block-size data. The key needs "
+                          "to be hashed before being used by the HMAC "
+                          "algorithm."),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 TEST(HmacTest, DifferentKeysDifferentMacs) {

@@ -1,7 +1,8 @@
 // Delta-snapshot subsystem tests: patch codec round trips, keyed tree diff,
 // the apply(diff(A,B), A) == B property over the Table 1 corpus with random
-// DOM mutations, the integrity-checked applier's freshness/digest gates, and
-// end-to-end sessions where patches replace full snapshots on the wire.
+// DOM mutations, op-for-op equality with the reference (pre-index) diff, the
+// integrity-checked applier's freshness/digest gates, and end-to-end sessions
+// where patches replace full snapshots on the wire.
 #include <gtest/gtest.h>
 
 #include "src/core/session.h"
@@ -13,8 +14,17 @@
 #include "src/net/profiles.h"
 #include "src/sites/corpus.h"
 #include "src/util/rand.h"
+#include "tests/reference_tree_diff.h"
 
 namespace rcb {
+namespace delta {
+
+// Readable gtest failure output for op lists: the wire encoding of one op.
+void PrintTo(const PatchOp& op, std::ostream* os) {
+  *os << EncodePatchOps({op});
+}
+
+}  // namespace delta
 namespace {
 
 std::unique_ptr<Element> CanonicalFromHtml(std::string_view html) {
@@ -382,6 +392,128 @@ TEST_P(CorpusDiffPropertyTest, RandomMutationsRoundTripOverTable1) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorpusDiffPropertyTest,
                          ::testing::Range<uint64_t>(1, 5));
+
+// ---- Indexed diff == reference diff ---------------------------------------
+
+// The indexed diff must return exactly the reference diff's ops. The
+// two-tree form indexes both trees and runs the indexed form.
+void ExpectSameOpsAsReference(const Element& base, const Element& target) {
+  ASSERT_EQ(delta::DiffTrees(base, target),
+            delta::reference::ReferenceDiffTrees(base, target));
+}
+
+TEST(IndexedDiffTest, ChangedLeafAmongIdenticalSiblingsIsOneOp) {
+  // Forty identical list items: every unchanged one is skipped by its
+  // byte-equal span, and the changed one still yields its set-text op.
+  std::string html = "<html><body><ul>";
+  for (int i = 0; i < 40; ++i) {
+    html += "<li class=\"row\"><b>item</b></li>";
+  }
+  html += "</ul></body></html>";
+  auto base = CanonicalFromHtml(html);
+  auto target_owned = base->Clone();
+  Element* ul = target_owned->AsElement()->FindFirst("ul");
+  Node* item = ul->child_at(17);
+  static_cast<Text*>(item->first_child()->first_child())->set_data("changed");
+
+  ExpectSameOpsAsReference(*base, *target_owned->AsElement());
+  // The indexed form, as SnapshotBroadcast calls it with stored indexes.
+  delta::TreeIndex base_index, target_index;
+  delta::IndexTree(*base, &base_index);
+  delta::IndexTree(*target_owned->AsElement(), &target_index);
+  std::vector<delta::PatchOp> ops = delta::DiffTrees(
+      *base, base_index, *target_owned->AsElement(), target_index);
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].type, delta::PatchOpType::kSetText);
+  EXPECT_EQ(ops[0].path, (std::vector<uint32_t>{1, 0, 17, 0, 0}));
+  EXPECT_EQ(ops[0].value, "changed");
+}
+
+TEST(IndexedDiffTest, KeyedMoveAfterSharedPrefix) {
+  // a b c d e -> a b e c d: the shared prefix a b is paired up front and the
+  // LCS runs over the remainder only; e moves back to position 2.
+  std::string base_html = "<html><body>";
+  std::string target_html = "<html><body>";
+  for (char id : std::string("abcde")) {
+    base_html += std::string("<p data-rcb-id=\"") + id + "\">" + id + "</p>";
+  }
+  for (char id : std::string("abecd")) {
+    target_html +=
+        std::string("<p data-rcb-id=\"") + id + "\">" + id + "</p>";
+  }
+  auto base = CanonicalFromHtml(base_html + "</body></html>");
+  auto target = CanonicalFromHtml(target_html + "</body></html>");
+
+  ExpectSameOpsAsReference(*base, *target);
+  std::vector<delta::PatchOp> ops = delta::DiffTrees(*base, *target);
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].type, delta::PatchOpType::kMove);
+  EXPECT_EQ(ops[0].path, (std::vector<uint32_t>{1}));
+  EXPECT_EQ(ops[0].from, 4u);
+  EXPECT_EQ(ops[0].to, 2u);
+}
+
+TEST(IndexedDiffTest, ChildrenOfVoidElementsAreStillDiffed) {
+  // A void element's children are never serialized, so its bytes cannot
+  // show that they changed; the diff must not skip it on equal bytes.
+  auto base = CanonicalFromHtml("<html><body><img src=\"x\"></body></html>");
+  Element* img = base->FindFirst("img");
+  img->AppendChild(MakeText("one"));
+  auto target_owned = base->Clone();
+  static_cast<Text*>(target_owned->AsElement()->FindFirst("img")->first_child())
+      ->set_data("two");
+  ASSERT_EQ(SerializeNode(*base), SerializeNode(*target_owned));
+
+  ExpectSameOpsAsReference(*base, *target_owned->AsElement());
+  EXPECT_EQ(delta::DiffTrees(*base, *target_owned->AsElement()).size(), 1u);
+}
+
+TEST(IndexedDiffTest, DigestFromIndexEqualsTreeDigest) {
+  for (const SiteSpec& spec : Table1Sites()) {
+    std::unique_ptr<Document> document =
+        ParseDocument(GenerateHomepage(spec).html);
+    std::unique_ptr<Element> canonical = delta::CanonicalizeDocument(*document);
+    delta::TreeIndex index;
+    delta::IndexTree(*canonical, &index);
+    EXPECT_EQ(index.bytes, SerializeNode(*canonical)) << spec.name;
+    EXPECT_EQ(delta::TreeDigest(index), delta::TreeDigest(*canonical))
+        << spec.name;
+    ASSERT_FALSE(index.spans.empty());
+    EXPECT_EQ(index.spans[0].begin, 0u);
+    EXPECT_EQ(index.spans[0].end, index.bytes.size());
+    EXPECT_EQ(index.spans[0].next, index.spans.size());
+  }
+}
+
+// Every Table 1 homepage through 20 chained rounds of 1-8 random mutations:
+// each round's target becomes the next round's base, so bases carry earlier
+// mutations too (including children under void elements).
+class ReferenceDiffPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReferenceDiffPropertyTest, OpsEqualReferenceOverTable1) {
+  Rng rng(GetParam());
+  for (const SiteSpec& spec : Table1Sites()) {
+    std::unique_ptr<Document> document =
+        ParseDocument(GenerateHomepage(spec).html);
+    std::unique_ptr<Node> base = delta::CanonicalizeDocument(*document);
+    ASSERT_NE(base, nullptr) << spec.name;
+    for (int round = 0; round < 20; ++round) {
+      std::unique_ptr<Node> target = base->Clone();
+      const uint64_t mutations = 1 + rng.NextBelow(8);
+      for (uint64_t i = 0; i < mutations; ++i) {
+        MutateTreeOnce(&rng, target->AsElement());
+      }
+      delta::NormalizeTextNodes(target->AsElement());
+      ExpectSameOpsAsReference(*base->AsElement(), *target->AsElement());
+      ASSERT_FALSE(HasFatalFailure())
+          << spec.name << " seed " << GetParam() << " round " << round;
+      base = std::move(target);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceDiffPropertyTest,
+                         ::testing::Range<uint64_t>(1, 21));
 
 // ---- Integrity-checked applier -------------------------------------------
 
