@@ -60,9 +60,10 @@ check_hotpath() {
   # must equal a cold full serialization over the corpus and random mutation
   # schedules even if test registration regresses.
   "${build_dir}/tests/serialize_cache_test" --gtest_brief=1
-  # The bench itself enforces the speedup floor (exit 1 below it) and asserts
-  # incremental XML output is byte-identical to the full path on every warmup
-  # update. The plain build sweeps the full corpus so its median is
+  # The bench itself enforces the speedup floor (exit 1 below it) on both
+  # the serialize (extract + encode) and the whole-pipeline (generate +
+  # encode) medians, and asserts incremental XML output is byte-identical to
+  # the full path on every warmup update. The plain build sweeps the full corpus so its median is
   # comparable with the committed artifact's; sanitizer instrumentation slows
   # the two paths unequally, so the sanitized build runs a reduced sweep
   # against a lower floor and skips the ratchet.
@@ -78,7 +79,7 @@ check_hotpath() {
   "${build_dir}/tools/validate_bench_json" "${artifact}"
   if command -v jq >/dev/null; then
     # The bench already enforced the build-appropriate floor on exit; the jq
-    # pass re-checks it from the artifact (plain 5x, sanitized 2x).
+    # pass re-checks both from the artifact (plain 5x, sanitized 2x).
     jq -e --argjson floor "${floor}" \
           '.schema_version == 1 and .bench == "hotpath"
            and (.config_fingerprint | test("^[0-9a-f]{64}$"))
@@ -87,24 +88,32 @@ check_hotpath() {
                 | index("serialize_incremental_p50_us") != null)
            and ([.metrics[].name] | index("incremental_speedup") != null)
            and ([.metrics[].name] | index("serialize_cache_hit_rate") != null)
+           and ([.metrics[].name] | index("generate_full_p50_us") != null)
+           and ([.metrics[].name]
+                | index("generate_incremental_p50_us") != null)
+           and ([.metrics[].name] | index("generate_speedup") != null)
            and ([.metrics[] | select(.name == "speedup_median")
+                 | .value >= $floor] == [true])
+           and ([.metrics[] | select(.name == "generate_speedup_median")
                  | .value >= $floor] == [true])' "${artifact}" > /dev/null
-    # Ratchet against the committed artifact: the speedup is a ratio, so it
-    # compares across machines; a change may not land that regresses the
-    # corpus-median speedup by more than 20%. The committed number comes from
-    # a conservative (low) run, and a failing measurement gets one re-run
-    # before the gate trips — single-vCPU builders show >10% run-to-run
-    # spread even with the bench's paired-block design (docs/PERF_MODEL.md
-    # §5). Wall-clock under sanitizers is not comparable, so only the plain
+    # Ratchet against the committed artifact: the speedups are ratios, so
+    # they compare across machines; a change may not land that regresses
+    # either corpus-median speedup (serialize, whole pipeline) by more than
+    # 20%. The committed numbers come from a conservative (low) run, and a
+    # failing measurement gets one re-run before the gate trips — single-vCPU
+    # build machines show >10% run-to-run spread even with the bench's
+    # paired-block design (docs/PERF_MODEL.md §5). Wall-clock under sanitizers is not comparable, so only the plain
     # build ratchets.
     if [[ "${build_dir}" != *asan* ]]; then
       local committed="bench-artifacts/BENCH_hotpath.json"
       if [[ -f "${committed}" ]]; then
-        local ratchet_jq='([.metrics[] | select(.name == "speedup_median")
-             | .value][0]) as $committed
-             | ([$cur[0].metrics[] | select(.name == "speedup_median")
-                 | .value][0]) as $current
-             | $current >= 0.8 * $committed'
+        local ratchet_jq='. as $committed_doc
+             | [("speedup_median", "generate_speedup_median") as $name
+                | ([$committed_doc.metrics[] | select(.name == $name)
+                    | .value][0]) as $committed
+                | ([$cur[0].metrics[] | select(.name == $name)
+                    | .value][0]) as $current
+                | $current >= 0.8 * $committed] | all'
         if ! jq -e --slurpfile cur "${artifact}" "${ratchet_jq}" \
             "${committed}" > /dev/null; then
           echo "hotpath ratchet below bound; re-running once for noise" >&2
@@ -113,8 +122,9 @@ check_hotpath() {
               > /dev/null
           jq -e --slurpfile cur "${artifact}" "${ratchet_jq}" \
               "${committed}" > /dev/null ||
-            { echo "hotpath speedup_median regressed >20% vs committed" \
-                   "artifact (twice)" >&2; return 1; }
+            { echo "hotpath speedup_median or generate_speedup_median" \
+                   "regressed >20% vs committed artifact (twice)" >&2;
+              return 1; }
         fi
       fi
       # The committed micro artifact must stay self-consistent: for every

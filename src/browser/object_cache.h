@@ -68,6 +68,9 @@ class ObjectCache {
   // unchanged.
   uint64_t change_epoch() const { return change_epoch_; }
 
+  // Canonical URLs of the entries, most recently used first.
+  const std::list<std::string>& lru_order() const { return lru_; }
+
  private:
   struct Slot {
     CacheEntry entry;

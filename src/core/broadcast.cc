@@ -28,9 +28,10 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   options.agent_url = agent_url;
   options.cache_object_filter = options_.cache_object_filter;
   int64_t sim_now_us = loop_->now().micros();
-  // When the generation happens inside a traced poll, the five Fig. 3 stage
-  // events (plus serialize) parent to one "agent.generate" span whose id is
-  // reserved up front so children can reference it before it is appended.
+  // When the generation happens inside a traced poll, the Fig. 3 stage
+  // events that ran (plus serialize) parent to one "agent.generate" span
+  // whose id is reserved up front so children can reference it before it is
+  // appended.
   obs::TraceLog* trace = instruments_.trace;
   const bool traced_gen = trace != nullptr && trace_ctx.active();
   const uint64_t gen_span_id = traced_gen ? trace->ReserveSpanId() : 0;
@@ -72,15 +73,18 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   counters_.last_snapshot_bytes = slot.xml.size();
   counters_.snapshot_bytes_raw += serialize_stats.payload_raw_bytes;
   counters_.snapshot_bytes_escaped += serialize_stats.payload_escaped_bytes;
-  // Feed the generator's per-stage breakdown into the stage histograms and
-  // the trace ring (the generator itself stays observability-free).
+  // Feed the stages that ran into the stage histograms and the trace ring
+  // (the generator itself stays observability-free). The fused walk is one
+  // stage, recorded as extract; the clone path runs all five.
   const std::pair<const char*, Duration> stages[5] = {
       {"agent.generate.clone", result.stage_clone},
       {"agent.generate.absolutize", result.stage_absolutize},
       {"agent.generate.cache_rewrite", result.stage_cache_rewrite},
       {"agent.generate.event_rewrite", result.stage_event_rewrite},
       {"agent.generate.extract", result.stage_extract}};
-  for (size_t i = 0; i < 5; ++i) {
+  const size_t first_stage =
+      generator_->tuning().incremental_serialize ? 4 : 0;
+  for (size_t i = first_stage; i < 5; ++i) {
     if (instruments_.stage_hist[i] != nullptr) {
       instruments_.stage_hist[i]->Record(stages[i].second.micros());
     }

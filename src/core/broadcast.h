@@ -52,6 +52,8 @@ struct BroadcastInstruments {
   obs::TraceLog* trace = nullptr;
   // Fig. 3 stage histograms in pipeline order:
   // clone, absolutize, cache_rewrite, event_rewrite, extract, serialize.
+  // Only the stages that ran are recorded: the clone and the rewrite passes
+  // run only on the paper-literal path.
   obs::Histogram* stage_hist[6] = {};
   obs::Histogram* generation_us = nullptr;   // whole pipeline, wall
   obs::Histogram* snapshot_bytes = nullptr;  // serialized XML size, sim

@@ -31,7 +31,110 @@ std::vector<Element*> ContentGenerator::InteractiveElements(Node* root) {
   return out;
 }
 
+void ElementRewriter::Rewrite(const Element& element, Edits* edits) {
+  std::string attr;
+  if (UrlAttributeFor(element, &attr)) {
+    std::string_view value;
+    for (const auto& [name, existing] : element.attributes()) {
+      if (name == attr) {
+        value = existing;
+        break;
+      }
+    }
+    bool rewritten = false;
+    // Step 2: relative -> absolute.
+    if (!value.empty() && !StartsWith(value, "javascript:") &&
+        !StartsWith(value, "data:") && !StartsWith(value, "#") &&
+        !IsAbsoluteUrl(value)) {
+      auto resolved = base_.Resolve(value);
+      if (resolved.ok()) {
+        edits->url_value = resolved->ToStringWithFragment();
+        value = edits->url_value;
+        rewritten = true;
+        ++urls_absolutized_;
+      }
+    }
+    // Step 3: cached supplementary objects -> agent URLs.
+    if (cache_ != nullptr && IsAbsoluteUrl(value)) {
+      std::optional<std::string> object_url = AgentObjectUrl(element, value);
+      if (object_url.has_value()) {
+        edits->url_value = std::move(*object_url);
+        rewritten = true;
+        ++urls_cache_rewritten_;
+      }
+    }
+    if (rewritten) {
+      edits->url_attr = std::move(attr);
+    }
+  }
+  // Step 4: event attributes plus the pre-order data-rcb-id.
+  if (ContentGenerator::IsInteractive(element)) {
+    edits->interactive = true;
+    edits->id = StrFormat("%zu", interactive_counter_++);
+    const std::string& tag = element.tag_name();
+    if (tag == "form") {
+      edits->event_attr = "onsubmit";
+      edits->event_value = "return rcbSubmit(this)";
+    } else if (tag == "a" || tag == "button") {
+      edits->event_attr = "onclick";
+      edits->event_value = "return rcbClick(this)";
+    } else {
+      edits->event_attr = "onchange";
+      edits->event_value = "rcbFill(this)";
+    }
+  }
+}
+
+std::optional<std::string> ElementRewriter::AgentObjectUrl(
+    const Element& element, std::string_view absolute_url) {
+  std::string kind = SupplementaryKindFor(element);
+  if (kind.empty()) {
+    return std::nullopt;
+  }
+  auto url = Url::Parse(absolute_url);
+  if (!url.ok() || (options_.cache_object_filter &&
+                    !options_.cache_object_filter(*url, kind))) {
+    return std::nullopt;
+  }
+  const CacheEntry* entry = cache_->Lookup(*url);
+  lookups_.push_back(std::move(*url));
+  if (entry == nullptr) {
+    return std::nullopt;
+  }
+  const Url& agent_url = options_.agent_url;
+  return Url::Make(agent_url.scheme(), agent_url.host(), agent_url.port(),
+                   "/obj/" + entry->cache_key)
+      .ToString();
+}
+
+void ElementRewriter::Skip(const Element& root) {
+  Edits edits;
+  Rewrite(root, &edits);
+  root.ForEachElement([this](const Element* element) {
+    Edits discarded;
+    Rewrite(*element, &discarded);
+    return true;
+  });
+}
+
+void ElementRewriter::Replay(const std::vector<Url>& lookups,
+                             size_t interactive, size_t absolutized,
+                             size_t cache_rewritten) {
+  for (const Url& url : lookups) {
+    cache_->Lookup(url);
+    lookups_.push_back(url);
+  }
+  interactive_counter_ += interactive;
+  urls_absolutized_ += absolutized;
+  urls_cache_rewritten_ += cache_rewritten;
+}
+
 namespace {
+
+// Steps 2-4 as literal passes over the clone: the paper-literal reference
+// path (incremental off). ElementRewriter applies the same rewrites to the
+// live page at emit time; serialize_cache_test holds the two to equal bytes
+// and equal object-cache side effects.
 
 // Step 2 of Fig. 3: convert relative URLs of the cloned document to absolute
 // origin-server URLs. Returns the number of attributes rewritten.
@@ -50,10 +153,8 @@ size_t AbsolutizeUrls(Element* clone_root, const Url& base) {
     }
     auto resolved = base.Resolve(value);
     if (resolved.ok()) {
-      // KeepRev: the clone's revs must keep matching its source's so the
-      // serialization cache can key on them; everything this pass writes is
-      // a pure function of (source state, base URL), which the cache's
-      // config fingerprint covers.
+      // KeepRev: the clone dies with this generation, so its writes draw no
+      // fresh revs from the process-wide counter.
       element->SetAttributeKeepRev(attr, resolved->ToStringWithFragment());
       ++rewritten;
     }
@@ -96,7 +197,6 @@ size_t RewriteCachedUrls(Element* clone_root, ObjectCache* cache,
     }
     Url object_url = Url::Make(agent_url.scheme(), agent_url.host(),
                                agent_url.port(), "/obj/" + entry->cache_key);
-    // KeepRev: covered by the fingerprint's ObjectCache change_epoch term.
     element->SetAttributeKeepRev(attr, object_url.ToString());
     ++rewritten;
     return true;
@@ -110,8 +210,6 @@ size_t RewriteEventAttributes(Element* clone_root) {
       ContentGenerator::InteractiveElements(clone_root);
   for (size_t i = 0; i < interactive.size(); ++i) {
     Element* element = interactive[i];
-    // KeepRev throughout: the assigned id depends only on pre-order
-    // position, which the cache revalidates per hit via its id_base check.
     element->SetAttributeKeepRev("data-rcb-id", StrFormat("%zu", i));
     const std::string& tag = element->tag_name();
     if (tag == "form") {
@@ -135,30 +233,36 @@ ElementPayload ExtractPayload(const Element& element) {
   return payload;
 }
 
-// Incremental flavour: innerHTML through the serialization cache, raw and
-// escaped in lockstep. `counter` is the pre-order data-rcb-id counter; the
-// caller has already counted `element` itself. The encoded prefix (tag +
-// attributes, no innerHTML) is escaped straight into the output and the
-// cache splices the children's escaped spans after it — no intermediate copy
-// of the page-sized escaped image. `raw_hint`/`escaped_hint` (optional,
-// in/out) carry the previous update's sizes so both strings are reserved
-// once instead of grown through reallocation.
-ElementPayload ExtractPayloadCached(const Element& element,
-                                    SerializeCache* cache,
-                                    uint64_t fingerprint, size_t* counter,
-                                    EscapedPayload* escaped,
-                                    size_t* raw_hint = nullptr,
-                                    size_t* escaped_hint = nullptr) {
+// Fused flavour: `element` is a live payload root. Its own attributes are
+// rewritten here and its innerHTML goes through the serialization cache, raw
+// and escaped in lockstep, with every descendant rewritten as it is emitted.
+// The encoded prefix (tag + attributes, no innerHTML) is escaped straight
+// into the output and the cache splices the children's escaped spans after
+// it — no intermediate copy of the page-sized escaped image.
+// `raw_hint`/`escaped_hint` (optional, in/out) carry the previous update's
+// sizes so both strings are reserved once instead of grown through
+// reallocation.
+ElementPayload ExtractPayloadFused(const Element& element,
+                                   SerializeCache* cache, uint64_t fingerprint,
+                                   ElementRewriter* rewriter,
+                                   EscapedPayload* escaped,
+                                   size_t* raw_hint = nullptr,
+                                   size_t* escaped_hint = nullptr) {
   ElementPayload payload;
   payload.tag = element.tag_name();
-  payload.attributes = element.attributes();
+  ElementRewriter::Edits edits;
+  rewriter->Rewrite(element, &edits);
+  edits.ForEachAttribute(
+      element, [&payload](std::string_view name, std::string_view value) {
+        payload.attributes.emplace_back(name, value);
+      });
   if (raw_hint != nullptr && *raw_hint != 0) {
     payload.inner_html.reserve(*raw_hint + *raw_hint / 8);
     escaped->escaped.reserve(*escaped_hint + *escaped_hint / 8);
   }
   const std::string prefix = EncodeElementPayloadPrefix(payload);
   JsEscapeAppend(prefix, &escaped->escaped);
-  cache->AppendChildrenHtml(element, fingerprint, counter,
+  cache->AppendChildrenHtml(element, fingerprint, rewriter,
                             &payload.inner_html, &escaped->escaped);
   escaped->raw_bytes = prefix.size() + payload.inner_html.size();
   if (raw_hint != nullptr) {
@@ -166,20 +270,6 @@ ElementPayload ExtractPayloadCached(const Element& element,
     *escaped_hint = escaped->escaped.size();
   }
   return payload;
-}
-
-// Interactive elements in `element`'s subtree including itself — used to
-// advance the data-rcb-id counter past html children the snapshot format
-// does not carry.
-size_t CountInteractive(const Element& element) {
-  size_t count = ContentGenerator::IsInteractive(element) ? 1 : 0;
-  element.ForEachElement([&count](const Element* descendant) {
-    if (ContentGenerator::IsInteractive(*descendant)) {
-      ++count;
-    }
-    return true;
-  });
-  return count;
 }
 
 // Everything outside the DOM that the rewritten clone bytes depend on; part
@@ -224,95 +314,88 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
     result.snapshot.has_content = false;
     return result;
   }
-
-  // Step 1: clone the documentElement; everything below mutates the clone.
-  // The clone's nodes come from the generator's arena (freed wholesale at the
-  // end of this call); only the Clone itself allocates nodes, so the scope
-  // covers just it.
-  std::unique_ptr<Node> clone_owned;
-  {
-    ArenaScope arena_scope(&arena_);
-    clone_owned = document->document_element()->Clone();
-  }
-  Element* clone = clone_owned->AsElement();
-  result.stage_clone = end_stage();
-
-  // Step 2: relative -> absolute URLs.
-  result.urls_absolutized = AbsolutizeUrls(clone, browser_->current_url());
-  result.stage_absolutize = end_stage();
-
-  // Step 3: cache mode only — absolute -> agent URLs for cached objects.
-  if (options.cache_mode) {
-    result.urls_cache_rewritten =
-        RewriteCachedUrls(clone, &browser_->cache(), options);
-  }
-  result.stage_cache_rewrite = end_stage();
-
-  // Step 4: event-attribute rewriting.
-  result.interactive_elements = RewriteEventAttributes(clone);
-  result.stage_event_rewrite = end_stage();
-
-  // Step 5: extraction in DOM order. The incremental path threads one
-  // data-rcb-id counter through the whole clone in the same pre-order the
-  // event-rewrite pass numbered, so cached spans can assert their embedded
-  // ids are still current (serialize_cache.h).
+  const Element& root = *document->document_element();
   result.snapshot.has_content = true;
+
   if (tuning_.incremental_serialize) {
+    // One read-only walk in DOM order: steps 2-4 happen as each element is
+    // emitted, step 5 splices cached spans for unchanged subtrees. The
+    // rewriter numbers data-rcb-ids in the same pre-order as the event pass,
+    // so cached spans can assert their embedded ids are still current
+    // (serialize_cache.h).
     result.escaped.has_content = true;
     const uint64_t fingerprint = ConfigFingerprint(browser_, options);
-    size_t counter = 0;
-    for (const auto& child : clone->children()) {
+    ElementRewriter rewriter(browser_->current_url(),
+                             options.cache_mode ? &browser_->cache() : nullptr,
+                             options);
+    for (const auto& child : root.children()) {
       const Element* element = child->AsElement();
       if (element == nullptr) {
         continue;
       }
       const std::string& tag = element->tag_name();
       if (tag == "head") {
+        ElementRewriter::Edits unused;
+        rewriter.Rewrite(*element, &unused);
         for (const auto& head_child : element->children()) {
           if (const Element* head_element = head_child->AsElement()) {
-            if (IsInteractive(*head_element)) {
-              ++counter;
-            }
             EscapedPayload escaped;
             result.snapshot.head_children.push_back(
-                ExtractPayloadCached(*head_element, &serialize_cache_,
-                                     fingerprint, &counter, &escaped));
+                ExtractPayloadFused(*head_element, &serialize_cache_,
+                                    fingerprint, &rewriter, &escaped));
             result.escaped.head_children.push_back(std::move(escaped));
           }
         }
       } else if (tag == "body") {
-        if (IsInteractive(*element)) {
-          ++counter;
-        }
         EscapedPayload escaped;
-        result.snapshot.body = ExtractPayloadCached(
-            *element, &serialize_cache_, fingerprint, &counter, &escaped,
+        result.snapshot.body = ExtractPayloadFused(
+            *element, &serialize_cache_, fingerprint, &rewriter, &escaped,
             &main_payload_raw_hint_, &main_payload_escaped_hint_);
         result.escaped.body = std::move(escaped);
       } else if (tag == "frameset") {
-        if (IsInteractive(*element)) {
-          ++counter;
-        }
         EscapedPayload escaped;
-        result.snapshot.frameset = ExtractPayloadCached(
-            *element, &serialize_cache_, fingerprint, &counter, &escaped,
+        result.snapshot.frameset = ExtractPayloadFused(
+            *element, &serialize_cache_, fingerprint, &rewriter, &escaped,
             &main_payload_raw_hint_, &main_payload_escaped_hint_);
         result.escaped.frameset = std::move(escaped);
       } else if (tag == "noframes") {
-        if (IsInteractive(*element)) {
-          ++counter;
-        }
         EscapedPayload escaped;
-        result.snapshot.noframes = ExtractPayloadCached(
-            *element, &serialize_cache_, fingerprint, &counter, &escaped);
+        result.snapshot.noframes = ExtractPayloadFused(
+            *element, &serialize_cache_, fingerprint, &rewriter, &escaped);
         result.escaped.noframes = std::move(escaped);
       } else {
-        // Not carried by the snapshot, but the rewrite pass numbered any
-        // interactive elements in here: keep the counter in step.
-        counter += CountInteractive(*element);
+        // Not carried by the snapshot, but the passes would rewrite it: keep
+        // the counter, the counts and the object-cache lookups in step.
+        rewriter.Skip(*element);
       }
     }
+    result.interactive_elements = rewriter.interactive_counter();
+    result.urls_absolutized = rewriter.urls_absolutized();
+    result.urls_cache_rewritten = rewriter.urls_cache_rewritten();
+    result.stage_extract = end_stage();
   } else {
+    // The paper-literal reference: step 1 clones the documentElement and
+    // everything below mutates the clone.
+    std::unique_ptr<Node> clone_owned = root.Clone();
+    Element* clone = clone_owned->AsElement();
+    result.stage_clone = end_stage();
+
+    // Step 2: relative -> absolute URLs.
+    result.urls_absolutized = AbsolutizeUrls(clone, browser_->current_url());
+    result.stage_absolutize = end_stage();
+
+    // Step 3: cache mode only — absolute -> agent URLs for cached objects.
+    if (options.cache_mode) {
+      result.urls_cache_rewritten =
+          RewriteCachedUrls(clone, &browser_->cache(), options);
+    }
+    result.stage_cache_rewrite = end_stage();
+
+    // Step 4: event-attribute rewriting.
+    result.interactive_elements = RewriteEventAttributes(clone);
+    result.stage_event_rewrite = end_stage();
+
+    // Step 5: extraction in DOM order.
     for (const auto& child : clone->children()) {
       const Element* element = child->AsElement();
       if (element == nullptr) {
@@ -333,15 +416,8 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
         result.snapshot.noframes = ExtractPayload(*element);
       }
     }
+    result.stage_extract = end_stage();
   }
-
-  result.stage_extract = end_stage();
-
-  // The clone dies here; rewind its arena so the next generation reuses the
-  // same blocks (quarantined instead if anything escaped — see arena.h).
-  clone_owned.reset();
-  clone = nullptr;
-  arena_.Reset();
 
   auto end = std::chrono::steady_clock::now();
   result.wall_time = Duration::Micros(

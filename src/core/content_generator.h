@@ -11,16 +11,25 @@
 //      interactive element with its pre-order index ("data-rcb-id"),
 //   5. extracts the attribute lists and innerHTML of the head children and of
 //      the body (or frameset/noframes) into a Snapshot (Fig. 4).
+//
+// Those five steps run literally only with incremental serialization off;
+// that is the paper-literal reference. The default path gets the same bytes
+// from one read-only walk of the live documentElement: ElementRewriter
+// applies steps 2-4 to each element as it is emitted, and the SerializeCache
+// splices unchanged subtrees (DESIGN.md §14). Neither path writes to the live
+// page, which is the paper's reason for cloning.
 #ifndef SRC_CORE_CONTENT_GENERATOR_H_
 #define SRC_CORE_CONTENT_GENERATOR_H_
 
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/browser/browser.h"
 #include "src/core/protocol.h"
 #include "src/html/intern.h"
 #include "src/core/serialize_cache.h"
-#include "src/util/arena.h"
 #include "src/util/sim_time.h"
 
 namespace rcb {
@@ -34,8 +43,6 @@ struct GeneratorTuning {
   bool incremental_serialize = true;
   size_t serialize_cache_budget = 4 * 1024 * 1024;
   size_t serialize_cache_min_span = 64;
-  // Arena block size for the transient clone tree (arena_block_bytes).
-  size_t arena_block_bytes = Arena::kDefaultBlockBytes;
   // Cap on the process-global tag/attribute interning table. The table is
   // shared by every document in the process (interned pointers must stay
   // stable across generator lifetimes), so this knob is applied process-wide
@@ -66,9 +73,12 @@ struct GenerationResult {
   size_t urls_cache_rewritten = 0;
   // Real (not simulated) CPU time of the pipeline — the paper's M5.
   Duration wall_time;
-  // Per-stage breakdown of wall_time, one field per Fig. 3 step. The
-  // generator stays observability-free; RcbAgent feeds these into its stage
-  // histograms (rcb_agent_gen_stage_us{stage=...}).
+  // Per-stage breakdown of wall_time, one field per Fig. 3 step. Only the
+  // paper-literal path (incremental off) runs the clone and the three
+  // rewrite passes; the fused walk reports its whole cost as stage_extract.
+  // The generator stays observability-free; SnapshotBroadcast feeds the
+  // stages that ran into the agent's histograms
+  // (rcb_agent_gen_stage_us{stage=...}).
   Duration stage_clone;
   Duration stage_absolutize;
   Duration stage_cache_rewrite;
@@ -76,12 +86,97 @@ struct GenerationResult {
   Duration stage_extract;
 };
 
+// Fig. 3 steps 2-4 applied at emit time to the live document. One instance
+// serves one generation: it reads each element and never writes to it, and it
+// keeps the pre-order state the three rewrite passes kept on the clone — the
+// data-rcb-id counter, the rewrite counts, and the ObjectCache lookups in the
+// order they were made (the SerializeCache records a span's share of them and
+// replays it on a hit, so the object cache's stats and LRU order come out as
+// if every element had been rewritten).
+class ElementRewriter {
+ public:
+  // What the passes would change on one element: at most one URL attribute
+  // and, on an interactive element, data-rcb-id plus one event attribute.
+  struct Edits {
+    std::string url_attr;  // empty: the URL attribute is left as it is
+    std::string url_value;
+    bool interactive = false;
+    std::string id;                    // data-rcb-id value
+    std::string_view event_attr;       // onclick | onsubmit | onchange
+    std::string_view event_value;
+
+    // Calls emit(name, value) for the element's attributes as the passes
+    // leave them: a rewritten attribute keeps its place, and data-rcb-id and
+    // then the event attribute are appended when the element lacks them
+    // (SetAttributeKeepRev semantics).
+    template <typename Emit>
+    void ForEachAttribute(const Element& element, Emit&& emit) const {
+      bool has_id = false;
+      bool has_event = false;
+      for (const auto& [name, value] : element.attributes()) {
+        if (!url_attr.empty() && name == url_attr) {
+          emit(name, url_value);
+        } else if (interactive && name == "data-rcb-id") {
+          emit(name, id);
+          has_id = true;
+        } else if (interactive && name == event_attr) {
+          emit(name, event_value);
+          has_event = true;
+        } else {
+          emit(name, value);
+        }
+      }
+      if (interactive && !has_id) {
+        emit(std::string_view("data-rcb-id"), id);
+      }
+      if (interactive && !has_event) {
+        emit(event_attr, event_value);
+      }
+    }
+  };
+
+  // `cache` is null outside cache mode (step 3 then never runs).
+  ElementRewriter(const Url& base, ObjectCache* cache,
+                  const ContentGenOptions& options)
+      : base_(base), cache_(cache), options_(options) {}
+
+  // Steps 2-4 for `element`, the next element in pre-order.
+  void Rewrite(const Element& element, Edits* edits);
+  // Rewrites `root` and its subtree for the counters and lookups alone (html
+  // children the snapshot does not carry).
+  void Skip(const Element& root);
+  // A spliced cache span stands for elements rewritten by an earlier
+  // generation: repeat their lookups and counts in this one.
+  void Replay(const std::vector<Url>& lookups, size_t interactive,
+              size_t absolutized, size_t cache_rewritten);
+
+  size_t interactive_counter() const { return interactive_counter_; }
+  size_t urls_absolutized() const { return urls_absolutized_; }
+  size_t urls_cache_rewritten() const { return urls_cache_rewritten_; }
+  // Every lookup of this generation so far, made or replayed, in order.
+  const std::vector<Url>& lookups() const { return lookups_; }
+
+ private:
+  // Step 3 for an element whose URL attribute reads `absolute_url`: looks
+  // the object up (logging the lookup) and returns its /obj/<key> URL when
+  // the object cache holds it and the filter lets it through.
+  std::optional<std::string> AgentObjectUrl(const Element& element,
+                                            std::string_view absolute_url);
+
+  const Url& base_;
+  ObjectCache* cache_;
+  const ContentGenOptions& options_;
+  size_t interactive_counter_ = 0;
+  size_t urls_absolutized_ = 0;
+  size_t urls_cache_rewritten_ = 0;
+  std::vector<Url> lookups_;
+};
+
 class ContentGenerator {
  public:
   explicit ContentGenerator(Browser* host_browser, GeneratorTuning tuning = {})
       : browser_(host_browser),
         tuning_(tuning),
-        arena_(tuning.arena_block_bytes),
         serialize_cache_(SerializeCache::Tuning{
             tuning.serialize_cache_budget, tuning.serialize_cache_min_span}) {
     if (tuning.intern_table_max != 0) {
@@ -91,8 +186,8 @@ class ContentGenerator {
 
   // Runs the five-step pipeline against the host browser's current document.
   // `doc_time_ms` stamps the snapshot (§4.1.1 timestamp mechanism).
-  // Non-const: the clone arena and the serialization cache persist across
-  // calls — that reuse is where the incremental win comes from.
+  // Non-const: the serialization cache persists across calls — that reuse is
+  // where the incremental win comes from.
   GenerationResult Generate(int64_t doc_time_ms,
                             const ContentGenOptions& options);
 
@@ -110,12 +205,10 @@ class ContentGenerator {
   const SerializeCache::Stats& serialize_cache_stats() const {
     return serialize_cache_.stats();
   }
-  Arena::Stats arena_stats() const { return arena_.stats(); }
 
  private:
   Browser* browser_;
   GeneratorTuning tuning_;
-  Arena arena_;              // holds each generation's transient clone tree
   SerializeCache serialize_cache_;
   // Previous update's main-payload (body/frameset) sizes, used to reserve
   // the raw and escaped output strings instead of growing them per append.

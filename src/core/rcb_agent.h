@@ -117,9 +117,9 @@ struct AgentConfig {
   std::function<bool(const std::string& pid)> participant_cache_mode;
   AgentPolicies policies;
   AgentLimits limits;
-  // Hot-path knobs for this agent's content generator (arena block size,
-  // serialization-cache budget, intern cap; see docs/PERF_MODEL.md). The
-  // defaults keep incremental serialization on.
+  // Hot-path knobs for this agent's content generator (serialization-cache
+  // budget, intern cap; see docs/PERF_MODEL.md). The defaults keep
+  // incremental serialization on.
   GeneratorTuning generator_tuning;
   // --- Delta snapshots (src/delta). Off by default: unless BOTH the agent
   // enables delta and the participant advertises patch support on its polls,
@@ -557,6 +557,7 @@ class RcbAgent {
   obs::TraceLog trace_;
   // Fig. 3 stage histograms, one per gen_stage label, in pipeline order:
   // clone, absolutize, cache_rewrite, event_rewrite, extract, serialize.
+  // The first four stay null on the fused incremental path.
   obs::Histogram* stage_hist_[6] = {};
   obs::Histogram* generation_us_ = nullptr;   // whole pipeline, wall
   obs::Histogram* snapshot_bytes_ = nullptr;  // serialized XML size, sim

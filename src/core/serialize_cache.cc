@@ -8,30 +8,33 @@
 namespace rcb {
 
 // The raw side of this walk must stay byte-for-byte the serializer's
-// (src/html/serializer.cc SerializeInto); serialize_cache_test pins the two
-// together over the corpus and random mutation schedules.
+// (src/html/serializer.cc SerializeInto) run on the rewritten clone;
+// serialize_cache_test pins the two together over the corpus and random
+// mutation schedules.
 
 void SerializeCache::AppendChildrenHtml(const Element& element,
                                         uint64_t config_fingerprint,
-                                        size_t* interactive_counter,
+                                        ElementRewriter* rewriter,
                                         std::string* raw,
                                         std::string* escaped) {
+  AppendChildren(element, Walk{config_fingerprint, rewriter, raw, escaped});
+}
+
+void SerializeCache::AppendChildren(const Element& element, const Walk& walk) {
   const bool raw_text =
       HtmlTokenizer::IsRawTextElement(element.tag_name());
   for (const auto& child : element.children()) {
-    AppendNode(*child, raw_text, config_fingerprint, interactive_counter, raw,
-               escaped);
+    AppendNode(*child, raw_text, walk);
   }
 }
 
 void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
-                                uint64_t fingerprint, size_t* counter,
-                                std::string* raw, std::string* escaped) {
+                                const Walk& walk) {
+  std::string* raw = walk.raw;
   switch (node.type()) {
     case NodeType::kDocument:
       for (const auto& child : node.children()) {
-        AppendNode(*child, /*raw_text_parent=*/false, fingerprint, counter,
-                   raw, escaped);
+        AppendNode(*child, /*raw_text_parent=*/false, walk);
       }
       break;
     case NodeType::kText: {
@@ -43,40 +46,36 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
       // stats): they are cheaper to re-serialize than to hash.
       const std::string& data = static_cast<const Text&>(node).data();
       const bool cacheable = data.size() >= tuning_.min_span_bytes;
-      const Key key{node.rev(), fingerprint};
-      if (cacheable && TryAppendHit(key, counter, raw, escaped)) {
+      const Key key{node.rev(), walk.fingerprint};
+      if (cacheable && TryAppendHit(key, walk)) {
         break;
       }
-      const size_t raw_start = raw->size();
-      const size_t escaped_start = escaped->size();
+      const SpanStart start = StartSpan(walk);
       if (raw_text_parent) {
         raw->append(data);  // script/style content is emitted verbatim
       } else {
         HtmlEscapeAppend(data, raw);
       }
-      JsEscapeAppend(std::string_view(*raw).substr(raw_start), escaped);
+      JsEscapeAppend(std::string_view(*raw).substr(start.raw), walk.escaped);
       if (cacheable) {
-        RecordMissSpan(key, raw_start, escaped_start, *counter, counter, raw,
-                       escaped);
+        RecordMissSpan(key, start, walk);
       }
       break;
     }
     case NodeType::kComment: {
       const std::string& data = static_cast<const Comment&>(node).data();
       const bool cacheable = data.size() >= tuning_.min_span_bytes;
-      const Key key{node.rev(), fingerprint};
-      if (cacheable && TryAppendHit(key, counter, raw, escaped)) {
+      const Key key{node.rev(), walk.fingerprint};
+      if (cacheable && TryAppendHit(key, walk)) {
         break;
       }
-      const size_t raw_start = raw->size();
-      const size_t escaped_start = escaped->size();
+      const SpanStart start = StartSpan(walk);
       raw->append("<!--");
       raw->append(data);
       raw->append("-->");
-      JsEscapeAppend(std::string_view(*raw).substr(raw_start), escaped);
+      JsEscapeAppend(std::string_view(*raw).substr(start.raw), walk.escaped);
       if (cacheable) {
-        RecordMissSpan(key, raw_start, escaped_start, *counter, counter, raw,
-                       escaped);
+        RecordMissSpan(key, start, walk);
       }
       break;
     }
@@ -85,59 +84,50 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
       raw->append("<!");
       raw->append(static_cast<const Doctype&>(node).data());
       raw->append(">");
-      JsEscapeAppend(std::string_view(*raw).substr(start), escaped);
+      JsEscapeAppend(std::string_view(*raw).substr(start), walk.escaped);
       break;
     }
     case NodeType::kElement:
-      AppendElement(static_cast<const Element&>(node), fingerprint, counter,
-                    raw, escaped);
+      AppendElement(static_cast<const Element&>(node), walk);
       break;
   }
 }
 
-void SerializeCache::AppendElement(const Element& element,
-                                   uint64_t fingerprint, size_t* counter,
-                                   std::string* raw, std::string* escaped) {
-  const Key key{element.rev(), fingerprint};
-  if (TryAppendHit(key, counter, raw, escaped)) {
+void SerializeCache::AppendElement(const Element& element, const Walk& walk) {
+  const Key key{element.rev(), walk.fingerprint};
+  if (TryAppendHit(key, walk)) {
     return;
   }
   // Miss (or an id-shifted entry, which will be overwritten with the current
-  // numbering): serialize this subtree, then keep the produced spans.
-  const size_t raw_start = raw->size();
-  const size_t escaped_start = escaped->size();
-  const size_t id_base = *counter;
-  if (ContentGenerator::IsInteractive(element)) {
-    ++*counter;
-  }
-  {
-    size_t tag_start = raw->size();
-    raw->push_back('<');
-    raw->append(element.tag_name());
-    for (const auto& [name, value] : element.attributes()) {
-      raw->push_back(' ');
-      raw->append(name);
-      raw->append("=\"");
-      HtmlEscapeAppend(value, raw);
-      raw->push_back('"');
-    }
-    raw->push_back('>');
-    JsEscapeAppend(std::string_view(*raw).substr(tag_start), escaped);
-  }
+  // numbering): rewrite and serialize this subtree, then keep the spans.
+  std::string* raw = walk.raw;
+  const SpanStart start = StartSpan(walk);
+  ElementRewriter::Edits edits;
+  walk.rewriter->Rewrite(element, &edits);
+  raw->push_back('<');
+  raw->append(element.tag_name());
+  edits.ForEachAttribute(element,
+                         [raw](std::string_view name, std::string_view value) {
+                           raw->push_back(' ');
+                           raw->append(name);
+                           raw->append("=\"");
+                           HtmlEscapeAppend(value, raw);
+                           raw->push_back('"');
+                         });
+  raw->push_back('>');
+  JsEscapeAppend(std::string_view(*raw).substr(start.raw), walk.escaped);
   if (!IsVoidElement(element.tag_name())) {
-    AppendChildrenHtml(element, fingerprint, counter, raw, escaped);
+    AppendChildren(element, walk);
     size_t close_start = raw->size();
     raw->append("</");
     raw->append(element.tag_name());
     raw->push_back('>');
-    JsEscapeAppend(std::string_view(*raw).substr(close_start), escaped);
+    JsEscapeAppend(std::string_view(*raw).substr(close_start), walk.escaped);
   }
-  RecordMissSpan(key, raw_start, escaped_start, id_base, counter, raw,
-                 escaped);
+  RecordMissSpan(key, start, walk);
 }
 
-bool SerializeCache::TryAppendHit(const Key& key, size_t* counter,
-                                  std::string* raw, std::string* escaped) {
+bool SerializeCache::TryAppendHit(const Key& key, const Walk& walk) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     return false;
@@ -145,35 +135,50 @@ bool SerializeCache::TryAppendHit(const Key& key, size_t* counter,
   Entry& entry = it->second;
   // A span containing no interactive elements embeds no data-rcb-ids, so its
   // bytes are independent of the counter; only id-bearing spans must match.
-  if (entry.interactive_count != 0 && entry.id_base != *counter) {
+  if (entry.interactive_count != 0 &&
+      entry.id_base != walk.rewriter->interactive_counter()) {
     return false;
   }
-  raw->append(entry.raw);
-  escaped->append(entry.escaped);
-  *counter += entry.interactive_count;
+  walk.raw->append(entry.raw);
+  walk.escaped->append(entry.escaped);
+  walk.rewriter->Replay(entry.lookups, entry.interactive_count,
+                        entry.urls_absolutized, entry.urls_cache_rewritten);
   ++stats_.hits;
   stats_.hit_bytes += entry.raw.size();
   lru_.splice(lru_.begin(), lru_, entry.lru);
   return true;
 }
 
-void SerializeCache::RecordMissSpan(const Key& key, size_t raw_start,
-                                    size_t escaped_start, size_t id_base,
-                                    const size_t* counter,
-                                    const std::string* raw,
-                                    const std::string* escaped) {
+SerializeCache::SpanStart SerializeCache::StartSpan(const Walk& walk) {
+  const ElementRewriter& rewriter = *walk.rewriter;
+  return SpanStart{walk.raw->size(),
+                   walk.escaped->size(),
+                   rewriter.interactive_counter(),
+                   rewriter.lookups().size(),
+                   rewriter.urls_absolutized(),
+                   rewriter.urls_cache_rewritten()};
+}
+
+void SerializeCache::RecordMissSpan(const Key& key, const SpanStart& start,
+                                    const Walk& walk) {
   ++stats_.misses;
-  const size_t span_bytes = raw->size() - raw_start;
+  const size_t span_bytes = walk.raw->size() - start.raw;
   stats_.miss_bytes += span_bytes;
   if (span_bytes < tuning_.min_span_bytes ||
       span_bytes > tuning_.budget_bytes) {
     return;
   }
+  const ElementRewriter& rewriter = *walk.rewriter;
   Entry entry;
-  entry.raw = raw->substr(raw_start);
-  entry.escaped = escaped->substr(escaped_start);
-  entry.id_base = id_base;
-  entry.interactive_count = *counter - id_base;
+  entry.raw = walk.raw->substr(start.raw);
+  entry.escaped = walk.escaped->substr(start.escaped);
+  entry.id_base = start.id_base;
+  entry.interactive_count = rewriter.interactive_counter() - start.id_base;
+  entry.lookups.assign(rewriter.lookups().begin() + start.lookups,
+                       rewriter.lookups().end());
+  entry.urls_absolutized = rewriter.urls_absolutized() - start.absolutized;
+  entry.urls_cache_rewritten =
+      rewriter.urls_cache_rewritten() - start.cache_rewritten;
   Insert(key, std::move(entry));
 }
 

@@ -6,16 +6,20 @@
 // every document version even when one text node changed. This cache makes
 // that cost proportional to the change.
 //
-// How it stays byte-identical to a cold serialization:
+// The cache sits inside the fused Fig. 3 walk: ContentGenerator walks the
+// live document once, read-only, and ElementRewriter applies the absolutize,
+// cache-mode and event rewrites to each element as this cache emits it.
+//
+// How it stays byte-identical to the paper-literal clone path:
 //
 //   * Identity. Every Node carries a revision (src/html/dom.h): mutations
-//     restamp the node and its ancestors with fresh, globally unique values,
-//     and Clone preserves them. The Fig. 3 rewrite passes use
-//     SetAttributeKeepRev, so a clone subtree's rev still equals its source's
-//     — and because a rev uniquely identifies one (node, subtree state), a
-//     cache entry keyed by rev can never alias a different state. A miss is
-//     always safe; the bet is only on hit *rate*, never on correctness of a
-//     hit... except for the two inputs below, which the key must also cover.
+//     restamp the node and its ancestors with fresh, globally unique values.
+//     The walk reads the live nodes, so a cache entry keyed by rev names one
+//     (node, subtree state) and can never alias a different state. (A clone
+//     carries its source's revs, so the key is the same one the clone path
+//     would use.) A miss is always safe; the bet is only on hit *rate*,
+//     never on correctness of a hit... except for the inputs below, which
+//     the key or the entry must also cover.
 //
 //   * Generation config. The rewritten bytes also depend on the absolutize
 //     base URL, the cache mode, the agent URL, the ObjectCache contents
@@ -32,14 +36,22 @@
 //     equal the recorded base. Within a subtree ids are contiguous in
 //     pre-order, so base equality implies every embedded id matches.
 //
+//   * Side effects. Step 3 looks objects up in the browser's ObjectCache,
+//     which counts hits and misses and reorders its LRU list. Each entry
+//     records the lookups its miss made (its subtrees' replays included) and
+//     its rewrite counts; a hit replays them in pre-order, so the object
+//     cache and GenerationResult's totals end up as a full rewrite leaves
+//     them.
+//
 //   * Escape splicing. JsEscape and HtmlEscape are stateless per byte
 //     (src/util/escape.h), so each entry stores the raw span *and* its
 //     JsEscape image, built in lockstep; splicing cached escaped spans is
 //     byte-identical to escaping the full serialization.
 //
-// Entries are plain string copies (never pointers into a DOM or arena), LRU
-// evicted against a byte budget. Spans smaller than `min_span_bytes` are not
-// cached: they are cheaper to re-serialize than to track.
+// Entries are plain copies (never pointers into a DOM), LRU evicted against a
+// byte budget of their raw and escaped spans. Spans smaller than
+// `min_span_bytes` are not cached: they are cheaper to re-serialize than to
+// track.
 #ifndef SRC_CORE_SERIALIZE_CACHE_H_
 #define SRC_CORE_SERIALIZE_CACHE_H_
 
@@ -47,10 +59,14 @@
 #include <list>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/html/dom.h"
+#include "src/http/url.h"
 
 namespace rcb {
+
+class ElementRewriter;
 
 class SerializeCache {
  public:
@@ -78,17 +94,18 @@ class SerializeCache {
   SerializeCache(const SerializeCache&) = delete;
   SerializeCache& operator=(const SerializeCache&) = delete;
 
-  // Serializes `element`'s children (its innerHTML) through the cache,
-  // appending the raw bytes to `raw` and their JsEscape image to `escaped`.
-  // Byte-identical to SerializeChildren(element) + JsEscape of it — asserted
-  // by serialize_cache_test over random mutation schedules.
+  // Serializes `element`'s children (its innerHTML) through the cache with
+  // every element rewritten by `rewriter`, appending the raw bytes to `raw`
+  // and their JsEscape image to `escaped`. Byte-identical to
+  // SerializeChildren + JsEscape of the rewritten clone — asserted by
+  // serialize_cache_test over random mutation schedules.
   //
-  // `interactive_counter` is the running pre-order data-rcb-id counter; the
-  // caller threads one counter through the whole clone in DOM order (see
+  // The rewriter carries the running pre-order data-rcb-id counter; the
+  // caller threads one rewriter through the whole document in DOM order (see
   // ContentGenerator::Generate). It is read for hit validity and advanced
   // past every element either way.
   void AppendChildrenHtml(const Element& element, uint64_t config_fingerprint,
-                          size_t* interactive_counter, std::string* raw,
+                          ElementRewriter* rewriter, std::string* raw,
                           std::string* escaped);
 
   // Drops every entry (e.g. when the owning generator is re-targeted).
@@ -118,22 +135,39 @@ class SerializeCache {
     std::string escaped;
     size_t id_base = 0;            // interactive counter at span start
     size_t interactive_count = 0;  // interactive elements inside the span
+    std::vector<Url> lookups;      // ObjectCache lookups inside the span
+    size_t urls_absolutized = 0;
+    size_t urls_cache_rewritten = 0;
     std::list<Key>::iterator lru;
   };
+  // Where a span began: the output sizes and the rewriter's counters.
+  struct SpanStart {
+    size_t raw = 0;
+    size_t escaped = 0;
+    size_t id_base = 0;
+    size_t lookups = 0;
+    size_t absolutized = 0;
+    size_t cache_rewritten = 0;
+  };
+  // One AppendChildrenHtml call's fixed arguments.
+  struct Walk {
+    uint64_t fingerprint;
+    ElementRewriter* rewriter;
+    std::string* raw;
+    std::string* escaped;
+  };
 
-  void AppendNode(const Node& node, bool raw_text_parent, uint64_t fingerprint,
-                  size_t* counter, std::string* raw, std::string* escaped);
-  void AppendElement(const Element& element, uint64_t fingerprint,
-                     size_t* counter, std::string* raw, std::string* escaped);
-  // Appends the cached span for `key` if present and id-valid; advances the
-  // counter past its interactive elements.
-  bool TryAppendHit(const Key& key, size_t* counter, std::string* raw,
-                    std::string* escaped);
-  // Accounts a freshly serialized span [raw_start, raw->size()) and caches it
-  // when it clears the size floor and fits the budget.
-  void RecordMissSpan(const Key& key, size_t raw_start, size_t escaped_start,
-                      size_t id_base, const size_t* counter,
-                      const std::string* raw, const std::string* escaped);
+  void AppendChildren(const Element& element, const Walk& walk);
+  void AppendNode(const Node& node, bool raw_text_parent, const Walk& walk);
+  void AppendElement(const Element& element, const Walk& walk);
+  // Appends the cached span for `key` if present and id-valid, and replays
+  // its lookups and counts through the rewriter.
+  bool TryAppendHit(const Key& key, const Walk& walk);
+  static SpanStart StartSpan(const Walk& walk);
+  // Accounts a freshly serialized span (from `start` to the current output
+  // end) and caches it when it clears the size floor and fits the budget.
+  void RecordMissSpan(const Key& key, const SpanStart& start,
+                      const Walk& walk);
   void Insert(Key key, Entry entry);
   void EvictToBudget();
 

@@ -101,6 +101,29 @@ void Node::RemoveAllChildren() {
   Touch();
 }
 
+std::vector<std::unique_ptr<Node>> Node::TakeChildren() {
+  for (auto& child : children_) {
+    child->parent_ = nullptr;
+  }
+  std::vector<std::unique_ptr<Node>> out = std::move(children_);
+  children_.clear();
+  Touch();
+  return out;
+}
+
+void Node::ReplaceChildren(std::vector<std::unique_ptr<Node>> children) {
+  for (auto& child : children_) {
+    child->parent_ = nullptr;
+  }
+  children_ = std::move(children);
+  for (auto& child : children_) {
+    assert(child != nullptr);
+    assert(child->parent_ == nullptr && "child must be detached first");
+    child->parent_ = this;
+  }
+  Touch();
+}
+
 std::unique_ptr<Node> Node::Detach() {
   if (parent_ == nullptr) {
     return nullptr;
@@ -110,8 +133,7 @@ std::unique_ptr<Node> Node::Detach() {
 
 std::unique_ptr<Node> Node::Clone() const {
   // Links children directly instead of going through AppendChild: a clone
-  // must carry its source's revs (that shared identity is what lets the
-  // serialization cache match clone subtrees back to source state), and
+  // carries its source's revs (it stands for the same subtree state), and
   // AppendChild would restamp them.
   std::unique_ptr<Node> copy = CloneSelf();
   copy->rev_ = rev_;

@@ -1,7 +1,7 @@
 // DOM tree: Document, Element, Text, Comment nodes.
 //
 // This is the in-browser document model both RCB pipelines operate on:
-// RCB-Agent clones the documentElement and rewrites the clone (Fig. 3);
+// RCB-Agent reads the documentElement and emits a rewritten copy (Fig. 3);
 // Ajax-Snippet applies received content to the live document via innerHTML
 // and DOM mutation (Fig. 5). Attribute order is preserved so serialization
 // round-trips byte-stably.
@@ -15,8 +15,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "src/util/arena.h"
 
 namespace rcb {
 
@@ -32,13 +30,6 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  // Arena-aware allocation (src/util/arena.h): nodes built while an
-  // ArenaScope is active come from that arena, all others from malloc. Each
-  // allocation carries a header naming its source, so delete is uniform.
-  static void* operator new(size_t n) { return ArenaAllocRaw(n); }
-  static void operator delete(void* p) noexcept { ArenaFreeRaw(p); }
-  static void operator delete(void* p, size_t) noexcept { ArenaFreeRaw(p); }
-
   NodeType type() const { return type_; }
   Node* parent() const { return parent_; }
 
@@ -46,8 +37,7 @@ class Node {
   // Drawn from one process-wide monotonic counter: every mutation restamps
   // the touched node and each of its ancestors with fresh, distinct values,
   // so a rev uniquely identifies one (node, subtree state) and is never
-  // reused. Clone() preserves revs — a clone's rev equals its source's, which
-  // is exactly the identity the cache keys on.
+  // reused. Clone() preserves revs — a clone's rev equals its source's.
   uint64_t rev() const { return rev_; }
   // Restamps this node and every ancestor (call after any mutation that
   // changes this subtree's serialization).
@@ -69,6 +59,11 @@ class Node {
   Node* InsertBefore(std::unique_ptr<Node> child, Node* reference);
   std::unique_ptr<Node> RemoveChild(Node* child);
   void RemoveAllChildren();
+  // Detaches and returns every child in one pass; restamps this node once.
+  std::vector<std::unique_ptr<Node>> TakeChildren();
+  // Replaces every child with `children` (each detached) in one pass;
+  // restamps this node once.
+  void ReplaceChildren(std::vector<std::unique_ptr<Node>> children);
   // Detaches this node from its parent (no-op when already detached).
   std::unique_ptr<Node> Detach();
 
@@ -165,11 +160,9 @@ class Element : public Node {
   // Missing attribute reads as "".
   std::string AttrOr(std::string_view name, std::string_view fallback = "") const;
   void SetAttribute(std::string_view name, std::string_view value);
-  // SetAttribute without restamping revs. Reserved for the Fig. 3 rewrite
-  // passes, which run on the generator's clone: the clone's output is a pure
-  // function of (source rev, generation config), so keeping clone revs equal
-  // to source revs is what lets the serialization cache key on them. Never
-  // use this on a live document.
+  // SetAttribute without restamping revs. Reserved for the paper-literal
+  // Fig. 3 rewrite passes, which run on a throwaway clone. Never use this on
+  // a live document: the serialization cache keys on live revs.
   void SetAttributeKeepRev(std::string_view name, std::string_view value);
   void RemoveAttribute(std::string_view name);
   bool HasAttribute(std::string_view name) const;

@@ -12,8 +12,8 @@
 // string — correctness is unchanged, only the speed win is lost.
 //
 // Interned pointers are never invalidated (entries are heap-allocated and the
-// table is append-only), so they are safe to hold across arena resets and in
-// the serialization cache.
+// table is append-only), so they are safe to hold for the life of the process
+// and in the serialization cache.
 #ifndef SRC_HTML_INTERN_H_
 #define SRC_HTML_INTERN_H_
 

@@ -199,20 +199,13 @@ std::vector<std::unique_ptr<Node>> ParseFragment(std::string_view html) {
   // Parse under a detached scratch element, then release the children.
   auto scratch = MakeElement("div");
   BuildTree(html, scratch.get());
-  std::vector<std::unique_ptr<Node>> out;
-  while (scratch->child_count() > 0) {
-    out.push_back(scratch->RemoveChild(scratch->child_at(0)));
-  }
-  return out;
+  return scratch->TakeChildren();
 }
 
 std::string Element::InnerHtml() const { return SerializeChildren(*this); }
 
 void Element::SetInnerHtml(std::string_view html) {
-  RemoveAllChildren();
-  for (auto& node : ParseFragment(html)) {
-    AppendChild(std::move(node));
-  }
+  ReplaceChildren(ParseFragment(html));
 }
 
 std::string Element::OuterHtml() const { return SerializeNode(*this); }

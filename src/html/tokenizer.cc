@@ -51,8 +51,14 @@ HtmlToken HtmlTokenizer::Next() {
 
 HtmlToken HtmlTokenizer::LexText() {
   size_t start = pos_;
-  while (pos_ < input_.size()) {
-    if (input_[pos_] == '<' && pos_ + 1 < input_.size() &&
+  // Text runs to the next '<' that opens markup; a stray '<' is text.
+  while (true) {
+    pos_ = input_.find('<', pos_);
+    if (pos_ == std::string_view::npos) {
+      pos_ = input_.size();
+      break;
+    }
+    if (pos_ + 1 < input_.size() &&
         (std::isalpha(static_cast<unsigned char>(input_[pos_ + 1])) ||
          input_[pos_ + 1] == '/' || input_[pos_ + 1] == '!')) {
       break;
@@ -194,14 +200,11 @@ void HtmlTokenizer::LexAttributes(HtmlToken* token) {
 }
 
 HtmlToken HtmlTokenizer::LexRawText(const std::string& tag) {
-  // Scan for "</tag" case-insensitively.
-  std::string close = "</" + tag;
-  size_t found = std::string_view::npos;
-  for (size_t i = pos_; i + close.size() <= input_.size(); ++i) {
-    if (EqualsIgnoreCase(input_.substr(i, close.size()), close)) {
-      found = i;
-      break;
-    }
+  // Scan for "</tag", the tag case-insensitively: jump from "</" to "</".
+  size_t found = input_.find("</", pos_);
+  while (found != std::string_view::npos &&
+         !EqualsIgnoreCase(input_.substr(found + 2, tag.size()), tag)) {
+    found = input_.find("</", found + 2);
   }
   HtmlToken token;
   token.type = HtmlToken::Type::kText;

@@ -3,9 +3,10 @@
 namespace rcb {
 namespace obs {
 
-TraceLog::TraceLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
-  events_.reserve(capacity_);
-}
+// The ring grows to `capacity` on demand instead of reserving it up front:
+// a host holds one log per session, and most logs never fill (a reserved
+// 1,024-event ring is 136 KiB per session whether used or not).
+TraceLog::TraceLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TraceLog::Append(std::string name, Provenance provenance,
                       int64_t sim_start_us, int64_t duration_us) {

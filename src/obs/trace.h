@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,7 +92,10 @@ class TraceLog {
 
  private:
   size_t capacity_;
-  std::vector<TraceEvent> events_;  // ring; head_ is the oldest slot
+  // Ring; head_ is the oldest slot. A deque grows in small blocks without
+  // moving what it holds, so a log pays only for the events it keeps and no
+  // append copies the whole ring.
+  std::deque<TraceEvent> events_;
   size_t head_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t last_span_id_ = 0;

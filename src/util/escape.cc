@@ -71,7 +71,15 @@ std::string JsUnescape(std::string_view input) {
   std::string out;
   out.reserve(input.size());
   for (size_t i = 0; i < input.size();) {
-    if (input[i] == '%' && i + 5 < input.size() &&
+    // Bytes up to the next '%' pass through: append them as one run.
+    const size_t percent = input.find('%', i);
+    if (percent == std::string_view::npos) {
+      out.append(input.substr(i));
+      break;
+    }
+    out.append(input.substr(i, percent - i));
+    i = percent;
+    if (i + 5 < input.size() &&
         (input[i + 1] == 'u' || input[i + 1] == 'U')) {
       int h1 = HexValue(input[i + 2]);
       int h2 = HexValue(input[i + 3]);
@@ -91,7 +99,7 @@ std::string JsUnescape(std::string_view input) {
         continue;
       }
     }
-    if (input[i] == '%' && i + 2 < input.size()) {
+    if (i + 2 < input.size()) {
       int hi = HexValue(input[i + 1]);
       int lo = HexValue(input[i + 2]);
       if (hi >= 0 && lo >= 0) {
@@ -100,7 +108,7 @@ std::string JsUnescape(std::string_view input) {
         continue;
       }
     }
-    out.push_back(input[i]);
+    out.push_back('%');  // malformed: passed through verbatim
     ++i;
   }
   return out;
@@ -240,17 +248,22 @@ std::string HtmlUnescape(std::string_view input) {
   std::string out;
   out.reserve(input.size());
   for (size_t i = 0; i < input.size();) {
-    if (input[i] != '&') {
-      out.push_back(input[i]);
+    // Bytes up to the next '&' pass through: append them as one run.
+    const size_t amp = input.find('&', i);
+    if (amp == std::string_view::npos) {
+      out.append(input.substr(i));
+      break;
+    }
+    out.append(input.substr(i, amp - i));
+    i = amp;
+    // An entity is at most 9 bytes between '&' and ';': look no further.
+    const size_t semi_offset = input.substr(i + 1, 10).find(';');
+    if (semi_offset == std::string_view::npos) {
+      out.push_back('&');
       ++i;
       continue;
     }
-    size_t semi = input.find(';', i + 1);
-    if (semi == std::string_view::npos || semi - i > 10) {
-      out.push_back(input[i]);
-      ++i;
-      continue;
-    }
+    const size_t semi = i + 1 + semi_offset;
     std::string_view entity = input.substr(i + 1, semi - i - 1);
     if (entity == "amp") {
       out.push_back('&');

@@ -920,12 +920,40 @@ TEST_F(AgentTest, MetricsEndpointServesRegistry) {
   EXPECT_NE(body.find("rcb_cache_hits"), std::string::npos);
   EXPECT_NE(body.find("rcb_cache_bytes"), std::string::npos);
   EXPECT_NE(body.find("rcb_agent_participants 1\n"), std::string::npos);
-  // Fig. 3 stage histograms, one series per stage.
+  // Fig. 3 stage histograms, one series per stage that runs. The default
+  // fused walk is one stage, exported as extract; the clone and the three
+  // rewrite passes never run, so they export no series.
+  for (const char* stage : {"extract", "serialize"}) {
+    std::string series =
+        std::string("rcb_agent_gen_stage_us_count{stage=\"") + stage + "\"} 1";
+    EXPECT_NE(body.find(series), std::string::npos) << series;
+  }
+  for (const char* stage :
+       {"clone", "absolutize", "cache_rewrite", "event_rewrite"}) {
+    std::string series =
+        std::string("rcb_agent_gen_stage_us_count{stage=\"") + stage + "\"}";
+    EXPECT_EQ(body.find(series), std::string::npos) << series;
+  }
+}
+
+TEST_F(AgentTest, PaperLiteralGeneratorExportsEveryStage) {
+  AgentConfig config;
+  config.generator_tuning.incremental_serialize = false;
+  StartAgent(config);
+  HostNavigate();
+  PollRequest poll;
+  poll.participant_id = "p1";
+  poll.doc_time_ms = -1;
+  Poll(poll);
+
+  FetchResult result =
+      Fetch(HttpMethod::kGet, Url::Make("http", "host-pc", 3000, "/metrics"));
+  ASSERT_EQ(result.response.status_code, 200);
   for (const char* stage : {"clone", "absolutize", "cache_rewrite",
                             "event_rewrite", "extract", "serialize"}) {
     std::string series =
         std::string("rcb_agent_gen_stage_us_count{stage=\"") + stage + "\"} 1";
-    EXPECT_NE(body.find(series), std::string::npos) << series;
+    EXPECT_NE(result.response.body.find(series), std::string::npos) << series;
   }
 }
 

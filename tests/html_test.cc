@@ -1,10 +1,20 @@
 // Unit tests for the HTML substrate: tokenizer, parser, DOM, serializer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/browser/browser.h"
+#include "src/core/content_generator.h"
+#include "src/core/protocol.h"
 #include "src/html/dom.h"
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
 #include "src/html/tokenizer.h"
+#include "src/sites/corpus.h"
+#include "src/sites/site_server.h"
+#include "src/util/escape.h"
+#include "src/util/rand.h"
+#include "tests/reference_parser.h"
 
 namespace rcb {
 namespace {
@@ -397,6 +407,162 @@ TEST(SerializerTest, InnerHtmlOfRawTextElement) {
   auto doc = ParseDocument("<html><head><style>a>b{}</style></head></html>");
   Element* style = doc->FindFirst("style");
   EXPECT_EQ(style->InnerHtml(), "a>b{}");
+}
+
+
+// ------------------------------------------------ Reference parser oracle --
+//
+// HtmlUnescape, JsUnescape, HtmlTokenizer and ParseFragment scan by runs;
+// tests/reference_parser.cc keeps the loops they replaced. Both must give
+// the same strings, tokens and trees on every Table 1 homepage, on the
+// snapshots generated from them, and on random strings built to hit the
+// scanners' edge cases.
+
+template <typename Tokenizer>
+std::vector<std::string> Tokens(std::string_view html) {
+  std::vector<std::string> out;
+  Tokenizer tokenizer(html);
+  while (true) {
+    HtmlToken token = tokenizer.Next();
+    std::string line = std::to_string(static_cast<int>(token.type)) + "|" +
+                       token.tag_name + "|" +
+                       (token.self_closing ? "/" : "") + "|" + token.data;
+    for (const auto& [name, value] : token.attributes) {
+      line += "|" + name + "=" + value;
+    }
+    out.push_back(std::move(line));
+    if (token.type == HtmlToken::Type::kEndOfFile) {
+      return out;
+    }
+  }
+}
+
+// Structure, not just bytes: adjacent text nodes serialize like one.
+void DescribeTree(const Node& node, std::string* out) {
+  *out += '(';
+  *out += std::to_string(static_cast<int>(node.type()));
+  if (const Element* element = node.AsElement()) {
+    *out += element->tag_name();
+    for (const auto& [name, value] : element->attributes()) {
+      *out += ' ' + name + "=" + value;
+    }
+  } else if (node.type() == NodeType::kText) {
+    *out += static_cast<const Text&>(node).data();
+  } else if (node.type() == NodeType::kComment) {
+    *out += static_cast<const Comment&>(node).data();
+  } else if (node.type() == NodeType::kDoctype) {
+    *out += static_cast<const Doctype&>(node).data();
+  }
+  for (const auto& child : node.children()) {
+    DescribeTree(*child, out);
+  }
+  *out += ')';
+}
+
+std::string DescribeForest(const std::vector<std::unique_ptr<Node>>& nodes) {
+  std::string out;
+  for (const auto& node : nodes) {
+    DescribeTree(*node, &out);
+  }
+  return out;
+}
+
+void CollectRevs(const Node& node, std::vector<uint64_t>* revs) {
+  revs->push_back(node.rev());
+  for (const auto& child : node.children()) {
+    CollectRevs(*child, revs);
+  }
+}
+
+bool AllDistinct(std::vector<uint64_t> revs) {
+  std::sort(revs.begin(), revs.end());
+  return std::adjacent_find(revs.begin(), revs.end()) == revs.end();
+}
+
+void ExpectSameAsReference(std::string_view input, const std::string& label) {
+  using namespace reference;
+  EXPECT_EQ(HtmlUnescape(input), ReferenceHtmlUnescape(input)) << label;
+  EXPECT_EQ(JsUnescape(input), ReferenceJsUnescape(input)) << label;
+  EXPECT_EQ(Tokens<HtmlTokenizer>(input), Tokens<ReferenceHtmlTokenizer>(input))
+      << label;
+  std::vector<std::unique_ptr<Node>> parsed = ParseFragment(input);
+  const std::string expected = DescribeForest(ReferenceParseFragment(input));
+  EXPECT_EQ(DescribeForest(parsed), expected) << label;
+  auto host = MakeElement("div");
+  host->SetInnerHtml(input);
+  EXPECT_EQ(DescribeForest(host->children()), expected) << label;
+  std::vector<uint64_t> revs;
+  CollectRevs(*host, &revs);
+  for (const auto& node : parsed) {
+    CollectRevs(*node, &revs);
+  }
+  EXPECT_TRUE(AllDistinct(revs)) << label;
+}
+
+TEST(ReferenceParserTest, Table1HomepagesAndTheirSnapshots) {
+  for (const SiteSpec& spec : Table1Sites()) {
+    const std::string html = GenerateHomepage(spec).html;
+    ExpectSameAsReference(html, spec.name + " homepage");
+    std::unique_ptr<Document> document = ParseDocument(html);
+    std::vector<uint64_t> revs;
+    CollectRevs(*document, &revs);
+    EXPECT_TRUE(AllDistinct(revs)) << spec.name;
+
+    // The snapshot the agent generates from it, and its JsEscape'd CDATA.
+    EventLoop loop;
+    Network network(&loop);
+    network.AddHost("host-pc", {});
+    network.AddHost(spec.host, {});
+    auto server = InstallSite(&loop, &network, spec);
+    Browser browser(&loop, &network, "host-pc");
+    bool done = false;
+    browser.Navigate(Url::Make("http", spec.host, 80, "/"),
+                     [&](const Status&, const PageLoadStats&) { done = true; });
+    ASSERT_TRUE(loop.RunUntilCondition([&] { return done; }));
+    ContentGenerator generator(&browser);
+    ContentGenOptions options;
+    options.agent_url = Url::Make("http", "host-pc", 3000, "/");
+    Snapshot snapshot = generator.Generate(1000, options).snapshot;
+    ASSERT_TRUE(snapshot.body.has_value()) << spec.name;
+    std::vector<const ElementPayload*> payloads = {&*snapshot.body};
+    for (const ElementPayload& head_child : snapshot.head_children) {
+      payloads.push_back(&head_child);
+    }
+    for (const ElementPayload* payload : payloads) {
+      const std::string label = spec.name + " snapshot <" + payload->tag + ">";
+      ExpectSameAsReference(payload->inner_html, label);
+      ExpectSameAsReference(JsEscape(EncodeElementPayload(*payload)),
+                            label + " escaped");
+    }
+    ExpectSameAsReference(SerializeSnapshotXml(snapshot),
+                          spec.name + " snapshot XML");
+  }
+}
+
+TEST(ReferenceParserTest, RandomStringsHeavyInEscapesAndRawText) {
+  static const char* const kPieces[] = {
+      "&", "&amp;", "&lt", "&#", "&#x4", "&#65;", "&#x20AC;", "&nbsp;",
+      "&bogus;", "&averyverylongname;", ";", "%", "%u", "%u00e9", "%U20AC",
+      "%u12", "%4", "%41", "%zz", "<", "</", "</SCRIPT", "</script>",
+      "<script>", "<SCRIPT type=x>", "<style>", "</StYlE", "<textarea>",
+      "<title>", "</title", "</ti", "<p>", "</p>", "<!--", "-->", "<!DOCTYPE",
+      ">", "<a href=\"x&amp;y\">", "<img src=x%20y>", "<br/>", "<li>", "<td>",
+      "</div>", "<div class='a&b'>", "text", " ", "\n", "\"", "'", "=",
+      "\xe9", "<3", "<!", "</>"};
+  constexpr size_t kPieceCount = sizeof(kPieces) / sizeof(kPieces[0]);
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    for (int round = 0; round < 100; ++round) {
+      std::string input;
+      const uint64_t pieces = rng.NextBelow(40);
+      for (uint64_t i = 0; i < pieces; ++i) {
+        input += kPieces[rng.NextBelow(kPieceCount)];
+      }
+      ExpectSameAsReference(input, "seed " + std::to_string(seed) +
+                                       " round " + std::to_string(round) +
+                                       ": " + input);
+    }
+  }
 }
 
 }  // namespace
