@@ -38,6 +38,7 @@ struct RecoveryPoint {
   double checkpoint_wall_ms_per_session = 0;
   double checkpoint_bytes_per_session = 0;
   uint64_t wal_records = 0;
+  uint64_t wal_records_replayed = 0;
   double resync_bytes_per_participant = 0;
   uint64_t recovered = 0;
   uint64_t fresh_joins_after_recovery = 0;
@@ -210,6 +211,9 @@ StatusOr<RecoveryPoint> RunPoint(size_t sessions, size_t participants) {
   point.recovery_wall_ms_per_session =
       point.recovery_wall_ms / static_cast<double>(sessions);
   point.recovered = host->metrics().sessions_recovered;
+  // Records the new host replayed from the logs it found: those written
+  // since each session's last checkpoint, minus any torn tail.
+  point.wal_records_replayed = host->persist_counters().wal_records_replayed;
 
   // Resync cost: content bytes served until every poller is back (signed
   // resume + full snapshot), which is exactly the restart storm's bill.
@@ -287,9 +291,12 @@ int main() {
                 static_cast<unsigned long long>(point->recovered),
                 point->wall_seconds);
     // The recovery proof must hold at every point: WAL records written
-    // before the crash, every session restored, every poller back via
-    // signed resume, zero fresh joins.
-    if (point->wal_records == 0 || point->recovered != sessions ||
+    // before the crash and replayed after it (never more than written),
+    // every session restored, every poller back via signed resume, zero
+    // fresh joins.
+    if (point->wal_records == 0 || point->wal_records_replayed == 0 ||
+        point->wal_records_replayed > point->wal_records ||
+        point->recovered != sessions ||
         point->fresh_joins_after_recovery != 0) {
       shape_ok = false;
     }
@@ -308,6 +315,9 @@ int main() {
                     point->checkpoint_bytes_per_session);
     report.AddValue(prefix + "wal_records", "records", obs::Provenance::kSim,
                     static_cast<double>(point->wal_records));
+    report.AddValue(prefix + "wal_records_replayed", "records",
+                    obs::Provenance::kSim,
+                    static_cast<double>(point->wal_records_replayed));
     report.AddValue(prefix + "resync_bytes_per_participant", "bytes",
                     obs::Provenance::kSim,
                     point->resync_bytes_per_participant);

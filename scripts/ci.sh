@@ -157,6 +157,11 @@ check_delta() {
       > /dev/null
   local artifact="${artifact_dir}/BENCH_delta.json"
   "${build_dir}/tools/validate_bench_json" "${artifact}"
+  # The walk-built delta index must equal the materialized one on every
+  # version it vouches for (by name: under RCB_SANITIZE this is what catches
+  # a cached span table that outlives its entry or is mis-sized).
+  "${build_dir}/tests/delta_test" --gtest_filter='*WalkIndexPropertyTest*' \
+      --gtest_brief=1
   if command -v jq >/dev/null; then
     # The sim-provenance metrics (patches served, fallbacks, delta bytes per
     # update, the full/delta byte ratio and the update latency
@@ -205,7 +210,17 @@ check_recovery() {
            and ([.metrics[] | select(.name == "n16_fresh_joins_after_recovery")
                  | .value] == [0])
            and ([.metrics[] | select(.name | test("^n[0-9]+_wal_records$"))]
-                | length > 0 and all(.value > 0))' "${artifact}" > /dev/null
+                | length > 0 and all(.value > 0))
+           and ([.metrics[] | select(.name | test("^n[0-9]+_wal_records$"))]
+                as $written
+                | [.metrics[]
+                   | select(.name | test("^n[0-9]+_wal_records_replayed$"))]
+                | length == ($written | length)
+                  and all(.[]; . as $replayed | .value > 0
+                      and .value <= ([$written[]
+                          | select(.name + "_replayed" == $replayed.name)
+                          | .value][0])))' \
+      "${artifact}" > /dev/null
   fi
   # Torn-write corpus: every truncated or bit-flipped checkpoint, and every
   # WAL with a damaged header, must be rejected with a clean exit 1 — never

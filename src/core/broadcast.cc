@@ -36,7 +36,16 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   const bool traced_gen = trace != nullptr && trace_ctx.active();
   const uint64_t gen_span_id = traced_gen ? trace->ReserveSpanId() : 0;
   const obs::TraceContext stage_ctx{trace_ctx.trace_id, gen_span_id};
-  GenerationResult result = generator_->Generate(doc_time_ms, options);
+  // Delta path: retire the current version into the base history; the
+  // generation indexes the new one in its place.
+  BaseVersion previous;
+  if (options_.enable_delta) {
+    previous = std::exchange(
+        slot.current, BaseVersion{doc_time_ms, std::move(slot.spare), {}});
+  }
+  GenerationResult result = generator_->Generate(
+      doc_time_ms, options,
+      options_.enable_delta ? &slot.current.index : nullptr);
   slot.snapshot = std::move(result.snapshot);
   slot.escaped = std::move(result.escaped);
   SnapshotSerializeStats serialize_stats;
@@ -50,19 +59,19 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   }
   slot.valid = true;
   if (options_.enable_delta) {
-    // Retire the previous materialized tree into the base history and
-    // materialize the new version the same way a participant's live document
-    // will look after applying it (so digests agree by construction).
-    BaseVersion previous = std::move(slot.current);
-    slot.current.doc_time_ms = doc_time_ms;
-    slot.current.tree = MaterializeSnapshotTree(slot.snapshot);
-    delta::IndexTree(*slot.current.tree, &slot.current.index);
+    if (!result.indexed) {
+      // The reference: the tree a participant's live document will reduce
+      // to after applying this version (so digests agree by construction).
+      delta::IndexTree(*MaterializeSnapshotTree(slot.snapshot),
+                       &slot.current.index);
+    }
     slot.current.digest = delta::TreeDigest(slot.current.index);
     slot.patch_cache.clear();
-    if (previous.tree != nullptr &&
+    if (previous.doc_time_ms >= 0 &&
         previous.doc_time_ms != slot.current.doc_time_ms) {
       slot.history.push_back(std::move(previous));
       while (slot.history.size() > options_.delta_history) {
+        slot.spare = std::move(slot.history.front().index);
         slot.history.pop_front();
       }
     }
@@ -120,7 +129,8 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
 std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
     Slot& slot, int64_t base_time, std::vector<UserAction>* outbox,
     const obs::TraceContext& trace_ctx) {
-  if (slot.current.tree == nullptr || base_time >= slot.current.doc_time_ms) {
+  if (slot.current.doc_time_ms < 0 ||
+      base_time >= slot.current.doc_time_ms) {
     return std::nullopt;  // nothing newer than what the participant acks
   }
   auto cached_it = slot.patch_cache.find(base_time);
@@ -146,8 +156,7 @@ std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
       cached.envelope.patch.target_digest = slot.current.digest;
       auto diff_start = std::chrono::steady_clock::now();
       cached.envelope.patch.ops =
-          delta::DiffTrees(*base->tree, base->index, *slot.current.tree,
-                           slot.current.index);
+          delta::DiffTrees(base->index, slot.current.index);
       cached.xml = delta::SerializePatchXml(cached.envelope);
       if (instruments_.trace != nullptr && trace_ctx.active()) {
         auto diff_us = std::chrono::duration_cast<std::chrono::microseconds>(

@@ -76,13 +76,14 @@ struct BroadcastCounters {
 
 class SnapshotBroadcast {
  public:
-  // One materialized canonical tree (src/delta) with its version, its
-  // one-time serialization index and the digest of those bytes; the delta
-  // path diffs a history of these against the current one, so a version
-  // diffed as a base several times is never serialized again.
+  // One document version as the delta path sees it: the index of its
+  // canonical tree (src/delta) and the digest of those bytes. The fused
+  // Fig. 3 walk builds the index as it generates the version; a version it
+  // cannot vouch for is indexed from its materialized tree. The delta path
+  // diffs a history of these against the current one, so no version is
+  // serialized again after it was generated.
   struct BaseVersion {
     int64_t doc_time_ms = -1;
-    std::unique_ptr<Element> tree;
     delta::TreeIndex index;
     std::string digest;
   };
@@ -106,8 +107,11 @@ class SnapshotBroadcast {
     SnapshotEscaped escaped;
     std::string xml;  // the encoded bytes fanned out to matching pollers
     // --- Delta state (BroadcastOptions::enable_delta only) ---
-    BaseVersion current;                      // materialization of `snapshot`
+    BaseVersion current;                      // the version of `snapshot`
     std::deque<BaseVersion> history;          // previously served versions
+    // The page-sized buffers of the version that last left the history,
+    // reused by the next version's index instead of allocated afresh.
+    delta::TreeIndex spare;
     std::map<int64_t, CachedPatch> patch_cache;  // keyed by base doc time
   };
 

@@ -4,6 +4,7 @@
 
 #include "src/browser/resources.h"
 #include "src/delta/tree_diff.h"
+#include "src/html/parser.h"
 #include "src/html/serializer.h"
 #include "src/util/escape.h"
 #include "src/util/rand.h"
@@ -242,10 +243,12 @@ ElementPayload ExtractPayload(const Element& element) {
 // `raw_hint`/`escaped_hint` (optional, in/out) carry the previous update's
 // sizes so both strings are reserved once instead of grown through
 // reallocation.
+// `index` (optional) receives the delta index of the payload's children.
 ElementPayload ExtractPayloadFused(const Element& element,
                                    SerializeCache* cache, uint64_t fingerprint,
                                    ElementRewriter* rewriter,
                                    EscapedPayload* escaped,
+                                   SerializeCache::ChildIndex* index,
                                    size_t* raw_hint = nullptr,
                                    size_t* escaped_hint = nullptr) {
   ElementPayload payload;
@@ -263,7 +266,12 @@ ElementPayload ExtractPayloadFused(const Element& element,
   const std::string prefix = EncodeElementPayloadPrefix(payload);
   JsEscapeAppend(prefix, &escaped->escaped);
   cache->AppendChildrenHtml(element, fingerprint, rewriter,
-                            &payload.inner_html, &escaped->escaped);
+                            &payload.inner_html, &escaped->escaped, index);
+  if (index != nullptr && IsVoidElement(payload.tag) &&
+      !payload.inner_html.empty()) {
+    // SetInnerHtml gives the element children its serialization never shows.
+    ++index->refusals;
+  }
   escaped->raw_bytes = prefix.size() + payload.inner_html.size();
   if (raw_hint != nullptr) {
     *raw_hint = payload.inner_html.size();
@@ -292,10 +300,97 @@ uint64_t ConfigFingerprint(Browser* browser, const ContentGenOptions& options) {
   return StableHash64(basis);
 }
 
+// Appends a payload root and its children to `index` as IndexTree lays
+// them out in the materialized tree: the root is built by MakeElement and
+// SetAttribute (its start tag is the payload's), its children are the parse
+// of its innerHTML, which `children` places relative to that string.
+void AppendPayloadIndex(const ElementPayload& payload,
+                        const SerializeCache::ChildIndex& children,
+                        delta::TreeIndex* index) {
+  std::string& bytes = index->bytes;
+  const size_t root = index->spans.size();
+  index->spans.push_back(
+      {static_cast<uint32_t>(bytes.size()), 0, 0, NodeType::kElement});
+  bytes += '<';
+  bytes += payload.tag;
+  for (const auto& [name, value] : payload.attributes) {
+    bytes += ' ';
+    bytes += name;
+    bytes += "=\"";
+    HtmlEscapeAppend(value, &bytes);
+    bytes += '"';
+  }
+  bytes += '>';
+  if (!IsVoidElement(payload.tag)) {
+    const auto at = static_cast<uint32_t>(bytes.size());
+    const auto first = static_cast<uint32_t>(index->spans.size());
+    bytes += payload.inner_html;
+    for (const NodeSpan& span : children.spans) {
+      index->spans.push_back(
+          {span.begin + at, span.end + at, span.next + first, span.type});
+    }
+    bytes += "</";
+    bytes += payload.tag;
+    bytes += '>';
+  }
+  index->spans[root].end = static_cast<uint32_t>(bytes.size());
+  index->spans[root].next = static_cast<uint32_t>(index->spans.size());
+}
+
+// The canonical index of a snapshot the fused walk produced: <html> holding
+// <head> (the head payloads) and then the body, frameset and noframes
+// payloads, in MaterializeSnapshotTree's order.
+void BuildSnapshotIndex(
+    const Snapshot& snapshot,
+    const std::vector<SerializeCache::ChildIndex>& head_children,
+    const SerializeCache::ChildIndex (&main_children)[3],
+    delta::TreeIndex* index) {
+  const std::optional<ElementPayload>* mains[3] = {
+      &snapshot.body, &snapshot.frameset, &snapshot.noframes};
+  // Room for the payloads' inner HTML and spans, plus slack for the wrapper
+  // and the payload roots' tags.
+  size_t bytes = 1024;
+  size_t spans = 64;
+  for (size_t i = 0; i < head_children.size(); ++i) {
+    bytes += snapshot.head_children[i].inner_html.size();
+    spans += head_children[i].spans.size();
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    if (mains[i]->has_value()) {
+      bytes += (*mains[i])->inner_html.size();
+      spans += main_children[i].spans.size();
+    }
+  }
+  index->bytes.clear();
+  index->bytes.reserve(bytes);
+  index->spans.clear();
+  index->spans.reserve(spans);
+  index->spans.push_back({0, 0, 0, NodeType::kElement});
+  index->bytes += "<html>";
+  index->spans.push_back({6, 0, 0, NodeType::kElement});
+  index->bytes += "<head>";
+  for (size_t i = 0; i < head_children.size(); ++i) {
+    AppendPayloadIndex(snapshot.head_children[i], head_children[i], index);
+  }
+  index->bytes += "</head>";
+  index->spans[1].end = static_cast<uint32_t>(index->bytes.size());
+  index->spans[1].next = static_cast<uint32_t>(index->spans.size());
+  for (size_t i = 0; i < 3; ++i) {
+    if (mains[i]->has_value()) {
+      AppendPayloadIndex(**mains[i], main_children[i], index);
+    }
+  }
+  index->bytes += "</html>";
+  index->spans[0].end = static_cast<uint32_t>(index->bytes.size());
+  index->spans[0].next = static_cast<uint32_t>(index->spans.size());
+  index->canonical_size = index->spans[0].end;
+}
+
 }  // namespace
 
 GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
-                                            const ContentGenOptions& options) {
+                                            const ContentGenOptions& options,
+                                            delta::TreeIndex* index) {
   auto start = std::chrono::steady_clock::now();
   auto stage_start = start;
   auto end_stage = [&stage_start]() {
@@ -328,6 +423,22 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
     ElementRewriter rewriter(browser_->current_url(),
                              options.cache_mode ? &browser_->cache() : nullptr,
                              options);
+    // Delta indexes of the payloads' children: head payloads in order, then
+    // body, frameset, noframes (a later duplicate replaces an earlier one,
+    // as in the snapshot). The page-sized main ones keep their buffers
+    // across generations.
+    std::vector<SerializeCache::ChildIndex> head_index;
+    auto index_slot = [index](SerializeCache::ChildIndex* slot) {
+      if (index == nullptr) {
+        return static_cast<SerializeCache::ChildIndex*>(nullptr);
+      }
+      slot->spans.clear();
+      slot->refusals = 0;
+      return slot;
+    };
+    for (SerializeCache::ChildIndex& slot : main_payload_index_) {
+      index_slot(&slot);  // an absent payload carries nothing over
+    }
     for (const auto& child : root.children()) {
       const Element* element = child->AsElement();
       if (element == nullptr) {
@@ -340,9 +451,10 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
         for (const auto& head_child : element->children()) {
           if (const Element* head_element = head_child->AsElement()) {
             EscapedPayload escaped;
-            result.snapshot.head_children.push_back(
-                ExtractPayloadFused(*head_element, &serialize_cache_,
-                                    fingerprint, &rewriter, &escaped));
+            result.snapshot.head_children.push_back(ExtractPayloadFused(
+                *head_element, &serialize_cache_, fingerprint, &rewriter,
+                &escaped,
+                index == nullptr ? nullptr : &head_index.emplace_back()));
             result.escaped.head_children.push_back(std::move(escaped));
           }
         }
@@ -350,23 +462,40 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
         EscapedPayload escaped;
         result.snapshot.body = ExtractPayloadFused(
             *element, &serialize_cache_, fingerprint, &rewriter, &escaped,
-            &main_payload_raw_hint_, &main_payload_escaped_hint_);
+            index_slot(&main_payload_index_[0]), &main_payload_raw_hint_,
+            &main_payload_escaped_hint_);
         result.escaped.body = std::move(escaped);
       } else if (tag == "frameset") {
         EscapedPayload escaped;
         result.snapshot.frameset = ExtractPayloadFused(
             *element, &serialize_cache_, fingerprint, &rewriter, &escaped,
-            &main_payload_raw_hint_, &main_payload_escaped_hint_);
+            index_slot(&main_payload_index_[1]), &main_payload_raw_hint_,
+            &main_payload_escaped_hint_);
         result.escaped.frameset = std::move(escaped);
       } else if (tag == "noframes") {
         EscapedPayload escaped;
         result.snapshot.noframes = ExtractPayloadFused(
-            *element, &serialize_cache_, fingerprint, &rewriter, &escaped);
+            *element, &serialize_cache_, fingerprint, &rewriter, &escaped,
+            index_slot(&main_payload_index_[2]));
         result.escaped.noframes = std::move(escaped);
       } else {
         // Not carried by the snapshot, but the passes would rewrite it: keep
         // the counter, the counts and the object-cache lookups in step.
         rewriter.Skip(*element);
+      }
+    }
+    if (index != nullptr) {
+      size_t refusals = 0;
+      for (const SerializeCache::ChildIndex& payload : head_index) {
+        refusals += payload.refusals;
+      }
+      for (const SerializeCache::ChildIndex& payload : main_payload_index_) {
+        refusals += payload.refusals;
+      }
+      if (refusals == 0) {
+        BuildSnapshotIndex(result.snapshot, head_index, main_payload_index_,
+                           index);
+        result.indexed = true;
       }
     }
     result.interactive_elements = rewriter.interactive_counter();

@@ -30,6 +30,7 @@
 #include "src/core/protocol.h"
 #include "src/html/intern.h"
 #include "src/core/serialize_cache.h"
+#include "src/delta/tree_diff.h"
 #include "src/util/sim_time.h"
 
 namespace rcb {
@@ -71,6 +72,10 @@ struct GenerationResult {
   size_t interactive_elements = 0;
   size_t urls_absolutized = 0;
   size_t urls_cache_rewritten = 0;
+  // True when Generate filled the caller's delta index: the fused walk
+  // vouched that every payload parses back to its live form (DESIGN.md
+  // §10.4). Otherwise the caller indexes MaterializeSnapshotTree(snapshot).
+  bool indexed = false;
   // Real (not simulated) CPU time of the pipeline — the paper's M5.
   Duration wall_time;
   // Per-stage breakdown of wall_time, one field per Fig. 3 step. Only the
@@ -187,9 +192,13 @@ class ContentGenerator {
   // Runs the five-step pipeline against the host browser's current document.
   // `doc_time_ms` stamps the snapshot (§4.1.1 timestamp mechanism).
   // Non-const: the serialization cache persists across calls — that reuse is
-  // where the incremental win comes from.
+  // where the incremental win comes from. With `index` (the delta path), the
+  // fused walk also builds the version's canonical index there, equal to
+  // IndexTree(MaterializeSnapshotTree(snapshot)), and sets result.indexed;
+  // it leaves `index` unspecified when it cannot vouch for the version.
   GenerationResult Generate(int64_t doc_time_ms,
-                            const ContentGenOptions& options);
+                            const ContentGenOptions& options,
+                            delta::TreeIndex* index = nullptr);
 
   // True for elements whose events RCB rewrites (anchors with href, forms,
   // form fields, buttons).
@@ -214,15 +223,19 @@ class ContentGenerator {
   // the raw and escaped output strings instead of growing them per append.
   size_t main_payload_raw_hint_ = 0;
   size_t main_payload_escaped_hint_ = 0;
+  // Delta index of the body, frameset and noframes children (Generate with
+  // an index), kept so their span buffers are reused across generations.
+  SerializeCache::ChildIndex main_payload_index_[3];
 };
 
 // Materializes a snapshot into the canonical tree (src/delta/tree_diff.h) a
 // participant's live document reduces to after a full Fig. 5 apply: payload
 // elements are instantiated exactly as the snippet instantiates them
 // (attributes in payload order, children via SetInnerHtml), so the agent's
-// delta base trees and the participant's live tree digest-match by
+// delta indexes and the participant's live tree digest-match by
 // construction — parser quirks cancel out because both sides run the same
-// parse. This is the "last-acked tree" the delta path diffs against.
+// parse. Indexed, it is the delta reference for a version the fused walk
+// cannot vouch for, and for the paper-literal configuration.
 std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot);
 
 }  // namespace rcb

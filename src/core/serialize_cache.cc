@@ -1,11 +1,33 @@
 #include "src/core/serialize_cache.h"
 
+#include <cctype>
+
 #include "src/core/content_generator.h"
 #include "src/html/parser.h"
 #include "src/html/tokenizer.h"
 #include "src/util/escape.h"
 
 namespace rcb {
+namespace {
+
+constexpr size_t kNoSpan = static_cast<size_t>(-1);
+
+// True when ParseFragment turns `text`, standing alone, back into one text
+// node holding exactly `text`: nothing in it opens markup and no entity in
+// it decodes.
+bool ParsesAsItself(std::string_view text) {
+  for (size_t lt = text.find('<'); lt != std::string_view::npos;
+       lt = text.find('<', lt + 1)) {
+    if (lt + 1 < text.size() &&
+        (std::isalpha(static_cast<unsigned char>(text[lt + 1])) ||
+         text[lt + 1] == '/' || text[lt + 1] == '!')) {
+      return false;
+    }
+  }
+  return text.find('&') == std::string_view::npos || HtmlUnescape(text) == text;
+}
+
+}  // namespace
 
 // The raw side of this walk must stay byte-for-byte the serializer's
 // (src/html/serializer.cc SerializeInto) run on the rewritten clone;
@@ -16,16 +38,82 @@ void SerializeCache::AppendChildrenHtml(const Element& element,
                                         uint64_t config_fingerprint,
                                         ElementRewriter* rewriter,
                                         std::string* raw,
-                                        std::string* escaped) {
-  AppendChildren(element, Walk{config_fingerprint, rewriter, raw, escaped});
+                                        std::string* escaped,
+                                        ChildIndex* index) {
+  AppendChildren(element, /*payload_root=*/true,
+                 Walk{config_fingerprint, rewriter, raw, escaped, index});
 }
 
-void SerializeCache::AppendChildren(const Element& element, const Walk& walk) {
+// With an index, also checks the parse rules between `element` and its
+// children (DESIGN.md §10.4) and places its text children: adjacent text
+// shares one span and empty text gets none, as NormalizeTextNodes leaves
+// the parsed tree.
+void SerializeCache::AppendChildren(const Element& element, bool payload_root,
+                                    const Walk& walk) {
   const bool raw_text =
       HtmlTokenizer::IsRawTextElement(element.tag_name());
-  for (const auto& child : element.children()) {
-    AppendNode(*child, raw_text, walk);
+  ChildIndex* index = walk.index;
+  if (index == nullptr) {
+    for (const auto& child : element.children()) {
+      AppendNode(*child, raw_text, walk);
+    }
+    return;
   }
+  const size_t content_start = walk.raw->size();
+  size_t text_span = kNoSpan;  // the span adjacent text merges into
+  for (const auto& child : element.children()) {
+    const Element* child_element = child->AsElement();
+    // A payload root's children are parsed under a scratch <div>, which no
+    // start tag closes implicitly.
+    if ((raw_text && child->type() != NodeType::kText) ||
+        (child_element != nullptr && !payload_root &&
+         ClosesImplicitly(child_element->tag_name(), element.tag_name()))) {
+      ++index->refusals;
+    }
+    const auto begin = static_cast<uint32_t>(walk.raw->size());
+    AppendNode(*child, raw_text, walk);
+    const auto end = static_cast<uint32_t>(walk.raw->size());
+    if (child->type() != NodeType::kText) {
+      text_span = kNoSpan;
+    } else if (begin == end) {
+      continue;  // empty text parses to no node
+    } else if (text_span != kNoSpan) {
+      index->spans[text_span].end = end;
+    } else {
+      text_span = index->spans.size();
+      index->spans.push_back({begin, end,
+                              static_cast<uint32_t>(text_span + 1),
+                              NodeType::kText});
+    }
+  }
+  if (raw_text) {
+    // Raw text is lexed back up to the first "</"; under a payload root it is
+    // not raw at all but parsed as markup.
+    const std::string_view content =
+        std::string_view(*walk.raw).substr(content_start);
+    if (payload_root ? !ParsesAsItself(content)
+                     : content.find("</") != std::string_view::npos) {
+      ++index->refusals;
+    }
+  }
+}
+
+size_t SerializeCache::OpenSpan(NodeType type, const Walk& walk) {
+  if (walk.index == nullptr) {
+    return kNoSpan;
+  }
+  walk.index->spans.push_back(
+      {static_cast<uint32_t>(walk.raw->size()), 0, 0, type});
+  return walk.index->spans.size() - 1;
+}
+
+void SerializeCache::CloseSpan(size_t span, const Walk& walk) {
+  if (span == kNoSpan) {
+    return;
+  }
+  NodeSpan& node_span = walk.index->spans[span];
+  node_span.end = static_cast<uint32_t>(walk.raw->size());
+  node_span.next = static_cast<uint32_t>(walk.index->spans.size());
 }
 
 void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
@@ -70,9 +158,16 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
         break;
       }
       const SpanStart start = StartSpan(walk);
+      const size_t span = OpenSpan(NodeType::kComment, walk);
+      if (walk.index != nullptr &&
+          (data.find("--") != std::string::npos ||
+           (!data.empty() && data.back() == '-'))) {
+        ++walk.index->refusals;  // "-->" would end it early or late
+      }
       raw->append("<!--");
       raw->append(data);
       raw->append("-->");
+      CloseSpan(span, walk);
       JsEscapeAppend(std::string_view(*raw).substr(start.raw), walk.escaped);
       if (cacheable) {
         RecordMissSpan(key, start, walk);
@@ -81,9 +176,14 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
     }
     case NodeType::kDoctype: {
       size_t start = raw->size();
+      const size_t span = OpenSpan(NodeType::kDoctype, walk);
+      if (walk.index != nullptr) {
+        ++walk.index->refusals;  // a payload is parsed without its doctype
+      }
       raw->append("<!");
       raw->append(static_cast<const Doctype&>(node).data());
       raw->append(">");
+      CloseSpan(span, walk);
       JsEscapeAppend(std::string_view(*raw).substr(start), walk.escaped);
       break;
     }
@@ -102,28 +202,37 @@ void SerializeCache::AppendElement(const Element& element, const Walk& walk) {
   // numbering): rewrite and serialize this subtree, then keep the spans.
   std::string* raw = walk.raw;
   const SpanStart start = StartSpan(walk);
+  const size_t span = OpenSpan(NodeType::kElement, walk);
+  ChildIndex* index = walk.index;
+  if (index != nullptr && !HtmlTokenizer::LexesAsTagName(element.tag_name())) {
+    ++index->refusals;
+  }
   ElementRewriter::Edits edits;
   walk.rewriter->Rewrite(element, &edits);
   raw->push_back('<');
   raw->append(element.tag_name());
-  edits.ForEachAttribute(element,
-                         [raw](std::string_view name, std::string_view value) {
-                           raw->push_back(' ');
-                           raw->append(name);
-                           raw->append("=\"");
-                           HtmlEscapeAppend(value, raw);
-                           raw->push_back('"');
-                         });
+  edits.ForEachAttribute(
+      element, [raw, index](std::string_view name, std::string_view value) {
+        if (index != nullptr && !HtmlTokenizer::LexesAsAttributeName(name)) {
+          ++index->refusals;
+        }
+        raw->push_back(' ');
+        raw->append(name);
+        raw->append("=\"");
+        HtmlEscapeAppend(value, raw);
+        raw->push_back('"');
+      });
   raw->push_back('>');
   JsEscapeAppend(std::string_view(*raw).substr(start.raw), walk.escaped);
   if (!IsVoidElement(element.tag_name())) {
-    AppendChildren(element, walk);
+    AppendChildren(element, /*payload_root=*/false, walk);
     size_t close_start = raw->size();
     raw->append("</");
     raw->append(element.tag_name());
     raw->push_back('>');
     JsEscapeAppend(std::string_view(*raw).substr(close_start), walk.escaped);
   }
+  CloseSpan(span, walk);
   RecordMissSpan(key, start, walk);
 }
 
@@ -138,6 +247,18 @@ bool SerializeCache::TryAppendHit(const Key& key, const Walk& walk) {
   if (entry.interactive_count != 0 &&
       entry.id_base != walk.rewriter->interactive_counter()) {
     return false;
+  }
+  if (ChildIndex* index = walk.index; index != nullptr) {
+    if (!entry.indexed) {
+      return false;  // made without an index: rebuild it with one
+    }
+    const auto at = static_cast<uint32_t>(walk.raw->size());
+    const auto first = static_cast<uint32_t>(index->spans.size());
+    for (const NodeSpan& span : entry.spans) {
+      index->spans.push_back(
+          {span.begin + at, span.end + at, span.next + first, span.type});
+    }
+    index->refusals += entry.refused ? 1 : 0;
   }
   walk.raw->append(entry.raw);
   walk.escaped->append(entry.escaped);
@@ -156,7 +277,9 @@ SerializeCache::SpanStart SerializeCache::StartSpan(const Walk& walk) {
                    rewriter.interactive_counter(),
                    rewriter.lookups().size(),
                    rewriter.urls_absolutized(),
-                   rewriter.urls_cache_rewritten()};
+                   rewriter.urls_cache_rewritten(),
+                   walk.index == nullptr ? 0 : walk.index->spans.size(),
+                   walk.index == nullptr ? 0 : walk.index->refusals};
 }
 
 void SerializeCache::RecordMissSpan(const Key& key, const SpanStart& start,
@@ -179,6 +302,18 @@ void SerializeCache::RecordMissSpan(const Key& key, const SpanStart& start,
   entry.urls_absolutized = rewriter.urls_absolutized() - start.absolutized;
   entry.urls_cache_rewritten =
       rewriter.urls_cache_rewritten() - start.cache_rewritten;
+  if (const ChildIndex* index = walk.index; index != nullptr) {
+    entry.indexed = true;
+    entry.refused = index->refusals != start.refusals;
+    const auto raw_start = static_cast<uint32_t>(start.raw);
+    const auto first = static_cast<uint32_t>(start.spans);
+    entry.spans.reserve(index->spans.size() - start.spans);
+    for (size_t i = start.spans; i < index->spans.size(); ++i) {
+      const NodeSpan& span = index->spans[i];
+      entry.spans.push_back({span.begin - raw_start, span.end - raw_start,
+                             span.next - first, span.type});
+    }
+  }
   Insert(key, std::move(entry));
 }
 
@@ -186,12 +321,12 @@ void SerializeCache::Insert(Key key, Entry entry) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Same subtree state re-serialized under a shifted id_base: replace.
-    stats_.bytes -= it->second.raw.size() + it->second.escaped.size();
+    stats_.bytes -= it->second.bytes();
     lru_.erase(it->second.lru);
     --stats_.spans;
     entries_.erase(it);
   }
-  stats_.bytes += entry.raw.size() + entry.escaped.size();
+  stats_.bytes += entry.bytes();
   ++stats_.spans;
   lru_.push_front(key);
   entry.lru = lru_.begin();
@@ -203,7 +338,7 @@ void SerializeCache::EvictToBudget() {
   while (stats_.bytes > tuning_.budget_bytes && !lru_.empty()) {
     Key victim = lru_.back();
     auto it = entries_.find(victim);
-    size_t victim_bytes = it->second.raw.size() + it->second.escaped.size();
+    size_t victim_bytes = it->second.bytes();
     stats_.bytes -= victim_bytes;
     stats_.evicted_bytes += victim_bytes;
     ++stats_.evictions;

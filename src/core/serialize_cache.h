@@ -48,10 +48,18 @@
 //     JsEscape image, built in lockstep; splicing cached escaped spans is
 //     byte-identical to escaping the full serialization.
 //
+//   * Delta index. When the caller asks for it (the owning broadcast has
+//     delta on), the walk also places every node of the canonical tree a
+//     participant will parse from these bytes (src/delta/tree_diff.h), and
+//     counts the constructs that would not survive that parse unchanged
+//     (DESIGN.md §10.4). An entry keeps its span table relative to its own
+//     start and whether its subtree held such a construct; a hit appends
+//     the table shifted.
+//
 // Entries are plain copies (never pointers into a DOM), LRU evicted against a
-// byte budget of their raw and escaped spans. Spans smaller than
-// `min_span_bytes` are not cached: they are cheaper to re-serialize than to
-// track.
+// byte budget of their raw and escaped spans and span tables. Spans smaller
+// than `min_span_bytes` are not cached: they are cheaper to re-serialize than
+// to track.
 #ifndef SRC_CORE_SERIALIZE_CACHE_H_
 #define SRC_CORE_SERIALIZE_CACHE_H_
 
@@ -62,6 +70,7 @@
 #include <vector>
 
 #include "src/html/dom.h"
+#include "src/html/serializer.h"
 #include "src/http/url.h"
 
 namespace rcb {
@@ -94,11 +103,24 @@ class SerializeCache {
   SerializeCache(const SerializeCache&) = delete;
   SerializeCache& operator=(const SerializeCache&) = delete;
 
+  // Where the children of one payload root land in the canonical tree that
+  // ParseFragment rebuilds from their bytes: one span per canonical node in
+  // pre-order (adjacent text merged, empty text dropped), positions in the
+  // `raw` string, `next` counted from the first child. `refusals` counts the
+  // constructs whose parse would differ from the live subtree; the spans
+  // describe the parse only when it is 0.
+  struct ChildIndex {
+    std::vector<NodeSpan> spans;
+    size_t refusals = 0;
+  };
+
   // Serializes `element`'s children (its innerHTML) through the cache with
   // every element rewritten by `rewriter`, appending the raw bytes to `raw`
   // and their JsEscape image to `escaped`. Byte-identical to
   // SerializeChildren + JsEscape of the rewritten clone — asserted by
-  // serialize_cache_test over random mutation schedules.
+  // serialize_cache_test over random mutation schedules. With `index`, also
+  // fills it for these children as a payload root's (parsed under a scratch
+  // <div>).
   //
   // The rewriter carries the running pre-order data-rcb-id counter; the
   // caller threads one rewriter through the whole document in DOM order (see
@@ -106,7 +128,7 @@ class SerializeCache {
   // past every element either way.
   void AppendChildrenHtml(const Element& element, uint64_t config_fingerprint,
                           ElementRewriter* rewriter, std::string* raw,
-                          std::string* escaped);
+                          std::string* escaped, ChildIndex* index = nullptr);
 
   // Drops every entry (e.g. when the owning generator is re-targeted).
   void Clear();
@@ -138,7 +160,17 @@ class SerializeCache {
     std::vector<Url> lookups;      // ObjectCache lookups inside the span
     size_t urls_absolutized = 0;
     size_t urls_cache_rewritten = 0;
+    // Delta index of the span (see ChildIndex), kept only when the miss
+    // that made the entry built one: begin/end relative to the span start,
+    // next relative to the first entry of the table.
+    bool indexed = false;
+    bool refused = false;  // the subtree holds a construct the parse changes
+    std::vector<NodeSpan> spans;
     std::list<Key>::iterator lru;
+
+    size_t bytes() const {
+      return raw.size() + escaped.size() + spans.size() * sizeof(NodeSpan);
+    }
   };
   // Where a span began: the output sizes and the rewriter's counters.
   struct SpanStart {
@@ -148,6 +180,8 @@ class SerializeCache {
     size_t lookups = 0;
     size_t absolutized = 0;
     size_t cache_rewritten = 0;
+    size_t spans = 0;
+    size_t refusals = 0;
   };
   // One AppendChildrenHtml call's fixed arguments.
   struct Walk {
@@ -155,15 +189,22 @@ class SerializeCache {
     ElementRewriter* rewriter;
     std::string* raw;
     std::string* escaped;
+    ChildIndex* index;  // null: no delta index wanted
   };
 
-  void AppendChildren(const Element& element, const Walk& walk);
+  void AppendChildren(const Element& element, bool payload_root,
+                      const Walk& walk);
   void AppendNode(const Node& node, bool raw_text_parent, const Walk& walk);
   void AppendElement(const Element& element, const Walk& walk);
-  // Appends the cached span for `key` if present and id-valid, and replays
-  // its lookups and counts through the rewriter.
+  // Appends the cached span for `key` if present, id-valid and indexed when
+  // the walk indexes, and replays its lookups and counts through the
+  // rewriter.
   bool TryAppendHit(const Key& key, const Walk& walk);
   static SpanStart StartSpan(const Walk& walk);
+  // Index spans of a comment, doctype or element as the walk emits it: Open
+  // places the node at the current output end, Close ends it there.
+  static size_t OpenSpan(NodeType type, const Walk& walk);
+  static void CloseSpan(size_t span, const Walk& walk);
   // Accounts a freshly serialized span (from `start` to the current output
   // end) and caches it when it clears the size floor and fits the budget.
   void RecordMissSpan(const Key& key, const SpanStart& start,

@@ -1,87 +1,131 @@
 #include "src/delta/tree_diff.h"
 
 #include <algorithm>
-#include <deque>
 #include <string_view>
 #include <utility>
 
 #include "src/crypto/sha256.h"
+#include "src/html/parser.h"
 #include "src/html/serializer.h"
-#include "src/util/strings.h"
+#include "src/html/tokenizer.h"
+#include "src/util/escape.h"
 
 namespace rcb::delta {
 namespace {
+
+// One attribute as a start tag spells it: the name, and the value with its
+// HTML escapes still in place (equal escaped values mean equal values).
+struct Attribute {
+  std::string_view name;
+  std::string_view escaped_value;
+};
+
+// `<tag name="value" ...>`: names never hold a space, `=` or `"`, and
+// values are escaped, so no `"` or `>` occurs inside one.
+std::string_view TagName(std::string_view start_tag) {
+  return start_tag.substr(1, start_tag.find_first_of(" >", 1) - 1);
+}
+
+// Calls visit(attribute) for each attribute of `start_tag` in order until
+// it returns true.
+template <typename Visit>
+void VisitAttributes(std::string_view start_tag, Visit&& visit) {
+  size_t pos = 1 + TagName(start_tag).size();
+  while (pos < start_tag.size() && start_tag[pos] == ' ') {
+    const size_t name_end = start_tag.find("=\"", pos + 1);
+    if (name_end == std::string_view::npos) {
+      return;  // a name holding '>' cut the start tag short
+    }
+    const size_t value_end = start_tag.find('"', name_end + 2);
+    if (value_end == std::string_view::npos) {
+      return;
+    }
+    if (visit(Attribute{
+            start_tag.substr(pos + 1, name_end - pos - 1),
+            start_tag.substr(name_end + 2, value_end - name_end - 2)})) {
+      return;
+    }
+    pos = value_end + 1;
+  }
+}
+
+std::vector<Attribute> DecodeAttributes(std::string_view start_tag) {
+  std::vector<Attribute> attributes;
+  VisitAttributes(start_tag, [&attributes](const Attribute& attribute) {
+    attributes.push_back(attribute);
+    return false;
+  });
+  return attributes;
+}
+
+const Attribute* FindAttribute(const std::vector<Attribute>& attributes,
+                               std::string_view name) {
+  for (const Attribute& attribute : attributes) {
+    if (attribute.name == name) {
+      return &attribute;
+    }
+  }
+  return nullptr;
+}
 
 // The attribute-order contract of SetAttribute: existing names keep their
 // position, new names append. An attribute diff can therefore only reproduce
 // `target`'s order when [base∩target in base order] + [target-only names in
 // target order] equals the target order; otherwise the differ falls back to
 // replacing the whole element so the digest still matches.
-bool AttributeOrderCompatible(const Element& base, const Element& target) {
-  std::vector<std::string> predicted;
-  for (const auto& [name, value] : base.attributes()) {
-    if (target.HasAttribute(name)) {
-      predicted.push_back(name);
+bool AttributeOrderCompatible(const std::vector<Attribute>& base,
+                              const std::vector<Attribute>& target) {
+  std::vector<std::string_view> predicted;
+  for (const Attribute& attribute : base) {
+    if (FindAttribute(target, attribute.name) != nullptr) {
+      predicted.push_back(attribute.name);
     }
   }
-  for (const auto& [name, value] : target.attributes()) {
-    if (!base.HasAttribute(name)) {
-      predicted.push_back(name);
+  for (const Attribute& attribute : target) {
+    if (FindAttribute(base, attribute.name) == nullptr) {
+      predicted.push_back(attribute.name);
     }
   }
-  if (predicted.size() != target.attributes().size()) {
+  if (predicted.size() != target.size()) {
     return false;
   }
   for (size_t i = 0; i < predicted.size(); ++i) {
-    if (predicted[i] != target.attributes()[i].first) {
+    if (predicted[i] != target[i].name) {
       return false;
     }
   }
   return true;
 }
 
-void DiffAttributes(const Element& base, const Element& target,
+void DiffAttributes(const std::vector<Attribute>& base,
+                    const std::vector<Attribute>& target,
                     const std::vector<uint32_t>& path,
                     std::vector<PatchOp>* ops) {
-  for (const auto& [name, value] : base.attributes()) {
-    if (!target.HasAttribute(name)) {
+  for (const Attribute& attribute : base) {
+    if (FindAttribute(target, attribute.name) == nullptr) {
       PatchOp op;
       op.type = PatchOpType::kRemoveAttr;
       op.path = path;
-      op.name = name;
+      op.name = attribute.name;
       ops->push_back(std::move(op));
     }
   }
-  for (const auto& [name, value] : target.attributes()) {
-    auto base_value = base.GetAttribute(name);
-    if (!base_value.has_value() || *base_value != value) {
+  for (const Attribute& attribute : target) {
+    const Attribute* base_attribute = FindAttribute(base, attribute.name);
+    if (base_attribute == nullptr ||
+        base_attribute->escaped_value != attribute.escaped_value) {
       PatchOp op;
       op.type = PatchOpType::kSetAttr;
       op.path = path;
-      op.name = name;
-      op.value = value;
+      op.name = attribute.name;
+      op.value = HtmlUnescape(attribute.escaped_value);
       ops->push_back(std::move(op));
     }
   }
 }
 
-void EmitReplace(const Node& target, const std::vector<uint32_t>& path,
-                 std::vector<PatchOp>* ops) {
-  PatchOp op;
-  op.type = PatchOpType::kReplace;
-  op.path = path;
-  op.html = SerializeNode(target);
-  ops->push_back(std::move(op));
-}
-
-// One node of an indexed tree: the node and its pre-order index.
-struct IndexedNode {
-  const Node* node;
-  uint32_t id;
-};
-
-// Reconciliation key (see file comment). `text` views the indexed tree: the
-// data-rcb-id value for kind 'i', the start tag's bytes for kind 'e'.
+// Reconciliation key (see file comment). `text` views the index: the
+// escaped data-rcb-id value for kind 'i', the start tag's bytes for kind 'e'.
 struct Key {
   char kind;
   std::string_view text;
@@ -94,7 +138,9 @@ class IndexedDiff {
               std::vector<PatchOp>* ops)
       : base_(base), target_(target), ops_(ops) {}
 
-  void DiffNodePair(IndexedNode base, IndexedNode target,
+  // Diffs base node `base` against target node `target`; `raw_text_parent`
+  // says their parents are raw-text elements, whose text is not escaped.
+  void DiffNodePair(uint32_t base, uint32_t target, bool raw_text_parent,
                     std::vector<uint32_t>* path);
 
  private:
@@ -105,34 +151,47 @@ class IndexedDiff {
   }
 
   // `<tag attr="value" ...>`: attribute values are escaped, so the first
-  // '>' closes the start tag. Empty for an element under a void element.
+  // '>' closes the start tag.
   static std::string_view StartTag(const TreeIndex& index, uint32_t id) {
     std::string_view bytes = Bytes(index, id);
     return bytes.substr(0, bytes.find('>') + 1);
   }
 
-  // Equal canonical bytes mean equal subtrees — same tag, same attributes
-  // in the same order, same children — so a full diff would emit no op
-  // here. Not so when a node in either subtree emits no bytes of its own
-  // (an empty text node, or a child of a void element): such pairs are
-  // diffed in full.
-  bool SameSubtree(IndexedNode base, IndexedNode target) const {
-    if (Bytes(base_, base.id) != Bytes(target_, target.id)) {
-      return false;
+  // The serialized subtree an insert or replace carries: the node's bytes,
+  // except that text under a raw-text element is escaped the way it
+  // serializes on its own.
+  static std::string SubtreeHtml(const TreeIndex& index, uint32_t id,
+                                 bool raw_text_parent) {
+    if (raw_text_parent && index.spans[id].type == NodeType::kText) {
+      return HtmlEscape(Bytes(index, id));
     }
-    for (const auto& [index, root] : {std::pair{&base_, base.id},
-                                      std::pair{&target_, target.id}}) {
-      for (uint32_t i = root; i < index->spans[root].next; ++i) {
-        if (index->spans[i].begin == index->spans[i].end) {
-          return false;
-        }
-      }
-    }
-    return true;
+    return std::string(Bytes(index, id));
   }
 
-  Key NodeKey(const TreeIndex& index, IndexedNode indexed) {
-    switch (indexed.node->type()) {
+  // True when `id`'s subtree holds a node whose bytes cannot stand for it
+  // in a byte comparison: an empty text node (it shows no bytes) or a child
+  // of a void element (serialized apart from its parent).
+  static bool HasHiddenNode(const TreeIndex& index, uint32_t id) {
+    for (uint32_t i = id; i < index.spans[id].next; ++i) {
+      const NodeSpan& span = index.spans[i];
+      if (span.begin == span.end || span.end > index.canonical_size) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Equal canonical bytes mean equal subtrees — same tag, same attributes
+  // in the same order, same children — so a full diff would emit no op
+  // here. Not so when either subtree holds a hidden node: such pairs are
+  // diffed in full.
+  bool SameSubtree(uint32_t base, uint32_t target) const {
+    return Bytes(base_, base) == Bytes(target_, target) &&
+           !HasHiddenNode(base_, base) && !HasHiddenNode(target_, target);
+  }
+
+  static Key NodeKey(const TreeIndex& index, uint32_t id) {
+    switch (index.spans[id].type) {
       case NodeType::kText:
         return {'t', {}};
       case NodeType::kComment:
@@ -144,47 +203,33 @@ class IndexedDiff {
       case NodeType::kElement:
         break;
     }
-    const Element& element = *indexed.node->AsElement();
-    for (const auto& [name, value] : element.attributes()) {
-      if (EqualsIgnoreCase(name, "data-rcb-id")) {
-        return {'i', value};
+    Key key{'e', StartTag(index, id)};
+    VisitAttributes(key.text, [&key](const Attribute& attribute) {
+      if (attribute.name != "data-rcb-id") {
+        return false;
       }
-    }
-    if (std::string_view start_tag = StartTag(index, indexed.id);
-        !start_tag.empty()) {
-      return {'e', start_tag};
-    }
-    // Under a void element nothing is serialized; spell the key out. All
-    // siblings are in the same case, so keys within one child list agree.
-    std::string& material = unserialized_keys_.emplace_back(element.tag_name());
-    for (const auto& [name, value] : element.attributes()) {
-      material += '\x1f';
-      material += name;
-      material += '=';
-      material += value;
-    }
-    return {'e', material};
+      key = {'i', attribute.escaped_value};
+      return true;
+    });
+    return key;
   }
 
-  static std::vector<IndexedNode> Children(IndexedNode parent,
-                                           const TreeIndex& index) {
-    std::vector<IndexedNode> children;
-    children.reserve(parent.node->child_count());
-    uint32_t id = parent.id + 1;
-    for (const auto& child : parent.node->children()) {
-      children.push_back({child.get(), id});
-      id = index.spans[id].next;
+  static std::vector<uint32_t> Children(const TreeIndex& index,
+                                        uint32_t parent) {
+    std::vector<uint32_t> children;
+    for (uint32_t id = parent + 1; id < index.spans[parent].next;
+         id = index.spans[id].next) {
+      children.push_back(id);
     }
     return children;
   }
 
-  void ReconcileChildren(IndexedNode base, IndexedNode target,
+  void ReconcileChildren(uint32_t base, uint32_t target, bool raw_text,
                          std::vector<uint32_t>* path);
 
   const TreeIndex& base_;
   const TreeIndex& target_;
   std::vector<PatchOp>* ops_;
-  std::deque<std::string> unserialized_keys_;  // stable storage for Key::text
 };
 
 // Reconciles the children of one matched element pair: keyed LCS keeps the
@@ -199,10 +244,11 @@ class IndexedDiff {
 // prefix of equal keys is paired up front and the table covers only the
 // rest. The common suffix is not trimmed: that would change which of two
 // equal-keyed children gets paired.
-void IndexedDiff::ReconcileChildren(IndexedNode base, IndexedNode target,
+void IndexedDiff::ReconcileChildren(uint32_t base, uint32_t target,
+                                    bool raw_text,
                                     std::vector<uint32_t>* path) {
-  const std::vector<IndexedNode> base_children = Children(base, base_);
-  const std::vector<IndexedNode> target_children = Children(target, target_);
+  const std::vector<uint32_t> base_children = Children(base_, base);
+  const std::vector<uint32_t> target_children = Children(target_, target);
   const size_t m = base_children.size();
   const size_t n = target_children.size();
   std::vector<Key> base_keys(m), target_keys(n);
@@ -274,14 +320,16 @@ void IndexedDiff::ReconcileChildren(IndexedNode base, IndexedNode target,
     }
   }
   for (size_t j = prefix; j < n; ++j) {
-    const Element* el = target_children[j].node->AsElement();
-    if (pair_of_target[j] >= 0 || el == nullptr) {
+    if (pair_of_target[j] >= 0 ||
+        target_.spans[target_children[j]].type != NodeType::kElement) {
       continue;
     }
+    const std::string_view tag =
+        TagName(StartTag(target_, target_children[j]));
     for (size_t i = prefix; i < m; ++i) {
-      const Element* base_el = base_children[i].node->AsElement();
-      if (!base_matched[i] && base_el != nullptr &&
-          base_el->tag_name() == el->tag_name()) {
+      if (!base_matched[i] &&
+          base_.spans[base_children[i]].type == NodeType::kElement &&
+          TagName(StartTag(base_, base_children[i])) == tag) {
         pair_of_target[j] = static_cast<int>(i);
         base_matched[i] = true;
         break;
@@ -338,7 +386,7 @@ void IndexedDiff::ReconcileChildren(IndexedNode base, IndexedNode target,
       op.type = PatchOpType::kInsert;
       op.path = *path;
       op.index = static_cast<uint32_t>(j);
-      op.html = SerializeNode(*target_children[j].node);
+      op.html = SubtreeHtml(target_, target_children[j], raw_text);
       ops_->push_back(std::move(op));
       work.insert(work.begin() + static_cast<long>(slot), -1);
     }
@@ -352,52 +400,81 @@ void IndexedDiff::ReconcileChildren(IndexedNode base, IndexedNode target,
     }
     path->push_back(static_cast<uint32_t>(j));
     DiffNodePair(base_children[static_cast<size_t>(paired)],
-                 target_children[j], path);
+                 target_children[j], raw_text, path);
     path->pop_back();
   }
 }
 
-void IndexedDiff::DiffNodePair(IndexedNode base, IndexedNode target,
+void IndexedDiff::DiffNodePair(uint32_t base, uint32_t target,
+                               bool raw_text_parent,
                                std::vector<uint32_t>* path) {
   if (SameSubtree(base, target)) {
     return;
   }
-  const Element* base_el = base.node->AsElement();
-  const Element* target_el = target.node->AsElement();
-  if (base_el != nullptr && target_el != nullptr) {
+  const NodeType base_type = base_.spans[base].type;
+  const NodeType target_type = target_.spans[target].type;
+  if (base_type == NodeType::kElement && target_type == NodeType::kElement) {
     // Byte-equal start tags: same tag and attribute list, nothing to do
     // before the children.
-    std::string_view base_tag = StartTag(base_, base.id);
-    if (base_tag.empty() || base_tag != StartTag(target_, target.id)) {
-      if (base_el->tag_name() != target_el->tag_name() ||
-          !AttributeOrderCompatible(*base_el, *target_el)) {
+    const std::string_view base_tag = StartTag(base_, base);
+    const std::string_view target_tag = StartTag(target_, target);
+    if (base_tag != target_tag) {
+      const std::vector<Attribute> base_attributes = DecodeAttributes(base_tag);
+      const std::vector<Attribute> target_attributes =
+          DecodeAttributes(target_tag);
+      if (TagName(base_tag) != TagName(target_tag) ||
+          !AttributeOrderCompatible(base_attributes, target_attributes)) {
         // Same data-rcb-id can land on a different element across
         // generations; attribute reordering cannot be expressed with
         // set-attr ops. Both are rare — replace the subtree wholesale.
-        EmitReplace(*target.node, *path, ops_);
+        PatchOp op;
+        op.type = PatchOpType::kReplace;
+        op.path = *path;
+        op.html = SubtreeHtml(target_, target, raw_text_parent);
+        ops_->push_back(std::move(op));
         return;
       }
-      DiffAttributes(*base_el, *target_el, *path, ops_);
+      DiffAttributes(base_attributes, target_attributes, *path, ops_);
     }
-    ReconcileChildren(base, target, path);
+    ReconcileChildren(
+        base, target,
+        HtmlTokenizer::IsRawTextElement(TagName(target_tag)), path);
     return;
   }
-  if (base.node->type() == NodeType::kText &&
-      target.node->type() == NodeType::kText) {
-    const auto& base_text = static_cast<const Text&>(*base.node);
-    const auto& target_text = static_cast<const Text&>(*target.node);
-    if (base_text.data() != target_text.data()) {
-      PatchOp op;
-      op.type = PatchOpType::kSetText;
-      op.path = *path;
-      op.value = target_text.data();
-      ops_->push_back(std::move(op));
-    }
+  if (Bytes(base_, base) == Bytes(target_, target)) {
     return;
   }
-  // Comment / doctype pairs: replace when their serialization differs.
-  if (SerializeNode(*base.node) != SerializeNode(*target.node)) {
-    EmitReplace(*target.node, *path, ops_);
+  PatchOp op;
+  op.path = *path;
+  if (base_type == NodeType::kText && target_type == NodeType::kText) {
+    op.type = PatchOpType::kSetText;
+    op.value = raw_text_parent ? std::string(Bytes(target_, target))
+                               : HtmlUnescape(Bytes(target_, target));
+  } else {
+    // Comment / doctype pairs: replace when their serialization differs.
+    op.type = PatchOpType::kReplace;
+    op.html = SubtreeHtml(target_, target, raw_text_parent);
+  }
+  ops_->push_back(std::move(op));
+}
+
+// Serializes the children of every void element in `id`'s subtree after
+// the bytes already in `index` (SerializeNodeInto gave them empty spans).
+void IndexHiddenChildren(const Node& node, uint32_t id, TreeIndex* index) {
+  const Element* element = node.AsElement();
+  const bool hidden = element != nullptr && IsVoidElement(element->tag_name());
+  uint32_t child_id = id + 1;
+  for (const auto& child : node.children()) {
+    if (hidden) {
+      std::vector<NodeSpan> spans;
+      SerializeNodeInto(*child, &index->bytes, &spans);
+      for (size_t i = 0; i < spans.size(); ++i) {
+        spans[i].next += child_id;
+        index->spans[child_id + i] = spans[i];
+      }
+    }
+    IndexHiddenChildren(*child, child_id, index);
+    child_id = index->spans[child_id].next;
   }
 }
 
@@ -461,6 +538,13 @@ void IndexTree(const Element& canonical_root, TreeIndex* index) {
   index->bytes.clear();
   index->spans.clear();
   SerializeNodeInto(canonical_root, &index->bytes, &index->spans);
+  index->canonical_size = static_cast<uint32_t>(index->bytes.size());
+  for (const NodeSpan& span : index->spans) {
+    if (span.begin == span.end) {  // an empty text node or a hidden child
+      IndexHiddenChildren(canonical_root, 0, index);
+      break;
+    }
+  }
 }
 
 std::string TreeDigest(const Element& canonical_root) {
@@ -474,16 +558,15 @@ std::string TreeDigest(const Element& canonical_root) {
 }
 
 std::string TreeDigest(const TreeIndex& index) {
-  return Sha256::HexDigest(index.bytes);
+  return Sha256::HexDigest(
+      std::string_view(index.bytes).substr(0, index.canonical_size));
 }
 
-std::vector<PatchOp> DiffTrees(const Element& base, const TreeIndex& base_index,
-                               const Element& target,
-                               const TreeIndex& target_index) {
+std::vector<PatchOp> DiffTrees(const TreeIndex& base, const TreeIndex& target) {
   std::vector<PatchOp> ops;
   std::vector<uint32_t> path;
-  IndexedDiff(base_index, target_index, &ops)
-      .DiffNodePair({&base, 0}, {&target, 0}, &path);
+  IndexedDiff(base, target, &ops)
+      .DiffNodePair(0, 0, /*raw_text_parent=*/false, &path);
   return ops;
 }
 
@@ -493,7 +576,7 @@ std::vector<PatchOp> DiffTrees(const Element& base, const Element& target) {
   static thread_local TreeIndex target_index;
   IndexTree(base, &base_index);
   IndexTree(target, &target_index);
-  return DiffTrees(base, base_index, target, target_index);
+  return DiffTrees(base_index, target_index);
 }
 
 std::string SummarizeOps(const std::vector<PatchOp>& ops) {

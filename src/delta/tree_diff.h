@@ -19,8 +19,12 @@
 //   * comments and doctypes each share a per-type key.
 //
 // Each version is serialized once into a TreeIndex; its digest hashes those
-// bytes and the diff compares subtrees by them, so a subtree that did not
-// change costs one byte comparison (DESIGN.md §10.1).
+// bytes and the diff reads everything it needs from them: subtrees compare
+// by their bytes, so a subtree that did not change costs one byte
+// comparison, and tag, attributes and text are decoded only for the nodes
+// the diff visits (DESIGN.md §10.1). The agent's Fig. 3 walk builds the
+// index of each version it can vouch for directly; other versions are
+// indexed from their materialized tree.
 #ifndef SRC_DELTA_TREE_DIFF_H_
 #define SRC_DELTA_TREE_DIFF_H_
 
@@ -74,13 +78,17 @@ void NormalizeTextNodes(Element* root);
 // document has no root element.
 std::unique_ptr<Element> CanonicalizeDocument(const Document& document);
 
-// A canonical tree serialized once: `bytes` is its canonical serialization
-// (what TreeDigest hashes) and `spans` places every node in it, in pre-order
-// (SerializeNodeInto). The index refers to the tree by position only, so it
-// stays valid as long as the tree is not mutated.
+// A canonical tree serialized once. `bytes` starts with its canonical
+// serialization (what TreeDigest hashes, `canonical_size` bytes) and
+// `spans` places every node in pre-order (SerializeNodeInto). The children
+// of a void element, which that serialization never shows, are serialized
+// after it, so every node's own bytes are in `bytes`.
 struct TreeIndex {
   std::string bytes;
+  uint32_t canonical_size = 0;
   std::vector<NodeSpan> spans;
+
+  bool operator==(const TreeIndex&) const = default;
 };
 
 // Serializes `canonical_root` into `index`, reusing its buffers.
@@ -92,12 +100,11 @@ void IndexTree(const Element& canonical_root, TreeIndex* index);
 std::string TreeDigest(const Element& canonical_root);
 std::string TreeDigest(const TreeIndex& index);
 
-// Diffs two canonical trees: the returned ops transform `base` into a tree
-// that serializes identically to `target`. Each index must be IndexTree of
-// its tree. The two-argument form indexes both trees first.
-std::vector<PatchOp> DiffTrees(const Element& base, const TreeIndex& base_index,
-                               const Element& target,
-                               const TreeIndex& target_index);
+// Diffs two indexed canonical trees: the returned ops transform the base
+// into a tree that serializes identically to the target. Insert and replace
+// payloads are the target's bytes. The two-tree form indexes both trees
+// first and returns the same ops.
+std::vector<PatchOp> DiffTrees(const TreeIndex& base, const TreeIndex& target);
 std::vector<PatchOp> DiffTrees(const Element& base, const Element& target);
 
 // Compact per-kind op tally, e.g. "ins=1,attr=2" (kinds in PatchOpType

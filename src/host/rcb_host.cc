@@ -915,6 +915,9 @@ void RcbHost::RegisterHostMetrics() {
   field("rcb_persist_torn_writes_total",
         "Crash-injected partial writes reaching disk",
         persist_counters_.torn_writes);
+  field("rcb_persist_wal_records_replayed_total",
+        "WAL records replayed onto checkpoints at recovery",
+        persist_counters_.wal_records_replayed);
   field("rcb_persist_wal_tail_discards_total",
         "Recovery scans that cut a torn WAL tail",
         persist_counters_.wal_tail_discards);

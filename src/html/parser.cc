@@ -19,8 +19,6 @@ bool IsVoidElement(std::string_view tag) {
   return false;
 }
 
-namespace {
-
 // Implied-end-tag rules (HTML 4 era): opening one of these elements closes a
 // still-open element of the listed kinds. Real 2009 markup leaned on this
 // heavily (unclosed <li>, <p>, <td>...).
@@ -52,6 +50,8 @@ bool ClosesImplicitly(std::string_view opening, std::string_view open_tag) {
   }
   return false;
 }
+
+namespace {
 
 // Builds a node tree from tokens under `root`.
 void BuildTree(std::string_view html, Node* root) {

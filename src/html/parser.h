@@ -26,6 +26,10 @@ std::vector<std::unique_ptr<Node>> ParseFragment(std::string_view html);
 // True for elements with no content model (<img>, <br>, ...).
 bool IsVoidElement(std::string_view tag);
 
+// Implied-end-tag rule: true when a start tag `opening` closes a still-open
+// `open_tag` element (an unclosed <p> before a <div>, <li> before <li>, ...).
+bool ClosesImplicitly(std::string_view opening, std::string_view open_tag);
+
 }  // namespace rcb
 
 #endif  // SRC_HTML_PARSER_H_

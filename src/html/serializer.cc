@@ -21,7 +21,7 @@ void SerializeChildrenInto(const Node& node, std::string* out,
 void RecordUnserialized(const Node& node, uint32_t at,
                         std::vector<NodeSpan>* spans) {
   const size_t index = spans->size();
-  spans->push_back({at, at, 0});
+  spans->push_back({at, at, 0, node.type()});
   for (const auto& child : node.children()) {
     RecordUnserialized(*child, at, spans);
   }
@@ -33,7 +33,8 @@ void SerializeInto(const Node& node, std::string* out,
   size_t index = 0;
   if (spans != nullptr) {
     index = spans->size();
-    spans->push_back({static_cast<uint32_t>(out->size()), 0, 0});
+    spans->push_back(
+        {static_cast<uint32_t>(out->size()), 0, 0, node.type()});
   }
   switch (node.type()) {
     case NodeType::kDocument:

@@ -13,12 +13,16 @@ namespace rcb {
 // Where one node landed in a serialization: its bytes are out[begin, end),
 // and `next` is the pre-order index just past its subtree, so a node's
 // children start at its own index + 1 and each sibling follows the previous
-// one's `next`. Children of a void element are never serialized; they get
-// empty spans at the position after the element.
+// one's `next`. `type` tells the node's kind, which its bytes alone cannot
+// (raw text may look like markup). Children of a void element are never
+// serialized; they get empty spans at the position after the element.
 struct NodeSpan {
   uint32_t begin = 0;
   uint32_t end = 0;
   uint32_t next = 0;
+  NodeType type = NodeType::kElement;
+
+  bool operator==(const NodeSpan&) const = default;
 };
 
 // Serializes a node and its subtree (outerHTML for elements).

@@ -23,6 +23,30 @@ bool HtmlTokenizer::IsRawTextElement(std::string_view tag) {
   return tag == "script" || tag == "style" || tag == "textarea" || tag == "title";
 }
 
+bool HtmlTokenizer::LexesAsTagName(std::string_view name) {
+  if (name.empty() || !std::isalpha(static_cast<unsigned char>(name[0]))) {
+    return false;
+  }
+  for (char c : name) {
+    if (!IsTagNameChar(c) || (c >= 'A' && c <= 'Z')) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool HtmlTokenizer::LexesAsAttributeName(std::string_view name) {
+  if (name.empty()) {
+    return false;
+  }
+  for (char c : name) {
+    if (!IsAttrNameChar(c) || (c >= 'A' && c <= 'Z')) {
+      return false;
+    }
+  }
+  return true;
+}
+
 HtmlToken HtmlTokenizer::Next() {
   if (!pending_raw_text_tag_.empty()) {
     std::string tag = std::move(pending_raw_text_tag_);

@@ -34,6 +34,11 @@ class HtmlTokenizer {
   // True for elements whose content is raw text (no markup inside).
   static bool IsRawTextElement(std::string_view tag);
 
+  // True when `name`, written into a start tag as a tag name (or as an
+  // attribute name before `="`), is lexed back as exactly `name`.
+  static bool LexesAsTagName(std::string_view name);
+  static bool LexesAsAttributeName(std::string_view name);
+
  private:
   HtmlToken LexTag();
   HtmlToken LexComment();

@@ -1,6 +1,10 @@
 #include "src/persist/session_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,16 +28,32 @@ StatusOr<std::string> ReadFileBytes(const std::string& path) {
   return std::move(buffer).str();
 }
 
+// One open, a write loop, one close: no stream buffer per record, and no
+// descriptor held between records (a host may persist thousands of
+// sessions).
 Status WriteFileBytes(const std::string& path, std::string_view bytes,
                       bool truncate) {
-  std::ofstream out(path, truncate ? std::ios::binary | std::ios::trunc
-                                   : std::ios::binary | std::ios::app);
-  if (!out) {
+  const int fd = ::open(path.c_str(),
+                        O_WRONLY | O_CREAT | O_CLOEXEC |
+                            (truncate ? O_TRUNC : O_APPEND),
+                        0666);
+  if (fd < 0) {
     return InternalError("cannot open " + path + " for writing");
   }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      break;
+    }
+    written += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (written < bytes.size()) {
     return InternalError("short write to " + path);
   }
   return Status::Ok();
@@ -260,6 +280,7 @@ StatusOr<LoadResult> LoadSession(const std::string& checkpoint_path,
     ++counters->wal_tail_discards;
   }
   ApplyWal(*replay, &result);
+  counters->wal_records_replayed += replay->records.size();
   return result;
 }
 

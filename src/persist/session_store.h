@@ -49,6 +49,7 @@ struct PersistCounters {
   // Crash-injected partial writes actually emitted to disk.
   uint64_t torn_writes = 0;
   // Recovery-side outcomes.
+  uint64_t wal_records_replayed = 0;  // decoded records applied at recovery
   uint64_t wal_tail_discards = 0;
   uint64_t wals_discarded = 0;
   uint64_t checkpoints_rejected = 0;

@@ -1,10 +1,13 @@
 // Delta-snapshot subsystem tests: patch codec round trips, keyed tree diff,
 // the apply(diff(A,B), A) == B property over the Table 1 corpus with random
 // DOM mutations, op-for-op equality with the reference (pre-index) diff, the
+// Fig. 3 walk's delta index against the materialized one, the
 // integrity-checked applier's freshness/digest gates, and end-to-end sessions
 // where patches replace full snapshots on the wire.
 #include <gtest/gtest.h>
 
+#include "src/core/broadcast.h"
+#include "src/core/content_generator.h"
 #include "src/core/session.h"
 #include "src/delta/patch_applier.h"
 #include "src/delta/patch_codec.h"
@@ -421,8 +424,8 @@ TEST(IndexedDiffTest, ChangedLeafAmongIdenticalSiblingsIsOneOp) {
   delta::TreeIndex base_index, target_index;
   delta::IndexTree(*base, &base_index);
   delta::IndexTree(*target_owned->AsElement(), &target_index);
-  std::vector<delta::PatchOp> ops = delta::DiffTrees(
-      *base, base_index, *target_owned->AsElement(), target_index);
+  std::vector<delta::PatchOp> ops =
+      delta::DiffTrees(base_index, target_index);
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].type, delta::PatchOpType::kSetText);
   EXPECT_EQ(ops[0].path, (std::vector<uint32_t>{1, 0, 17, 0, 0}));
@@ -514,6 +517,293 @@ TEST_P(ReferenceDiffPropertyTest, OpsEqualReferenceOverTable1) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceDiffPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// ---- Walk-built delta index == materialized index -------------------------
+
+// Wraps a construct whose serialization does not parse back to itself, so a
+// repair step can remove every one of them again.
+constexpr char kBadClass[] = "rt-bad";
+
+std::unique_ptr<Element> BadWrapper() {
+  auto wrapper = MakeElement("span");
+  wrapper->SetAttribute("class", kBadClass);
+  return wrapper;
+}
+
+void InsertAt(Rng* rng, Element* parent, std::unique_ptr<Node> node) {
+  const size_t slot = rng->NextBelow(parent->child_count() + 1);
+  parent->InsertBefore(std::move(node), slot == parent->child_count()
+                                            ? nullptr
+                                            : parent->child_at(slot));
+}
+
+// One host-side document change: serialize_cache_test-style edits (text,
+// attributes, interactive elements before cached spans, removals, URL
+// attributes the absolutize and cache-mode rewrites treat apart, head
+// edits), constructs the walk must refuse to vouch for (a DOM-built p>div,
+// script text holding "</script", comment data with "--" or a trailing '-',
+// children under a void payload root), constructs it must index right
+// (children under a void element in the body, adjacent and empty text
+// beside large cached text), and a repair that removes the refused ones.
+void MutateHostDocument(Document* document, Rng* rng, int step,
+                        const std::string& origin) {
+  Element* body = document->body();
+  std::vector<Element*> elements;
+  body->ForEachElement([&](Element* element) {
+    elements.push_back(element);
+    return true;
+  });
+  Element* target = elements.empty() ? body
+                                      : elements[rng->NextBelow(elements.size())];
+  const std::string tag = std::to_string(step);
+  switch (rng->NextBelow(14)) {
+    case 0:  // text appended next to whatever text is there
+      target->AppendChild(MakeText("step " + tag));
+      break;
+    case 1:
+      target->SetAttribute("data-step", tag);
+      break;
+    case 2: {  // interactive element ahead of every cached span
+      auto link = MakeElement("a");
+      link->SetAttribute("href", "/mut" + tag);
+      link->AppendChild(MakeText("m" + tag));
+      body->InsertBefore(std::move(link), body->first_child());
+      break;
+    }
+    case 3:
+      if (target != body) {
+        target->Detach();
+      }
+      break;
+    case 4: {
+      auto div = MakeElement("div");
+      div->SetAttribute("class", "mut");
+      div->AppendChild(MakeText("item " + tag));
+      InsertAt(rng, body, std::move(div));
+      break;
+    }
+    case 5: {  // URL attributes: relative, absolute, javascript:, data:, #
+      static const char* const kValues[] = {
+          "/static/img0.png", "/rcb-mut/x.png", "javascript:void(0)",
+          "data:image/gif;base64,R0lGOD", "#top"};
+      std::string value = kValues[rng->NextBelow(5)];
+      if (rng->NextBelow(2) == 0 && value[0] == '/') {
+        value = origin + value;
+      }
+      auto image = MakeElement(rng->NextBelow(2) == 0 ? "img" : "a");
+      image->SetAttribute(image->tag_name() == "img" ? "src" : "href", value);
+      InsertAt(rng, target, std::move(image));
+      break;
+    }
+    case 6: {  // p>div: the parse closes the <p> before the <div>
+      auto wrapper = BadWrapper();
+      auto p = MakeElement("p");
+      auto div = MakeElement("div");
+      div->AppendChild(MakeText("block in paragraph " + tag));
+      p->AppendChild(std::move(div));
+      wrapper->AppendChild(std::move(p));
+      InsertAt(rng, target, std::move(wrapper));
+      break;
+    }
+    case 7: {  // children under a void element: neither side shows them
+      auto image = MakeElement("img");
+      image->SetAttribute("src", "/static/img1.png");
+      image->AppendChild(MakeText("hidden " + tag));
+      auto inner = MakeElement("b");
+      inner->AppendChild(MakeText("hidden element"));
+      image->AppendChild(std::move(inner));
+      InsertAt(rng, target, std::move(image));
+      break;
+    }
+    case 8: {  // raw text that ends its element early
+      auto wrapper = BadWrapper();
+      auto script = MakeElement("script");
+      script->AppendChild(MakeText("var s = '</script><b>" + tag + "</b>';"));
+      wrapper->AppendChild(std::move(script));
+      InsertAt(rng, target, std::move(wrapper));
+      break;
+    }
+    case 9: {  // comment data the comment syntax cannot carry
+      auto wrapper = BadWrapper();
+      wrapper->AppendChild(std::make_unique<Comment>(
+          rng->NextBelow(2) == 0 ? "a -- b " + tag : "trailing " + tag + "-"));
+      InsertAt(rng, target, std::move(wrapper));
+      break;
+    }
+    case 10: {  // adjacent and empty text beside large (cached) text
+      std::vector<Text*> texts;
+      CollectTexts(body, &texts);
+      std::vector<Text*> large;
+      for (Text* text : texts) {
+        if (text->data().size() >= 64) {
+          large.push_back(text);
+        }
+      }
+      if (large.empty()) {
+        break;
+      }
+      Text* anchor = large[rng->NextBelow(large.size())];
+      Node* parent = anchor->parent();
+      parent->InsertBefore(MakeText(rng->NextBelow(2) == 0 ? "" : "pre " + tag),
+                           anchor);
+      size_t index = 0;
+      while (parent->child_at(index) != anchor) {
+        ++index;
+      }
+      Node* after = index + 1 < parent->child_count()
+                        ? parent->child_at(index + 1)
+                        : nullptr;
+      parent->InsertBefore(MakeText(""), after);
+      parent->InsertBefore(MakeText(" post " + tag), after);
+      break;
+    }
+    case 11: {  // head edits, one of them a child under a void payload root
+      Element* head = document->head();
+      std::vector<Element*> head_children = head->ChildElements();
+      switch (rng->NextBelow(3)) {
+        case 0: {
+          auto link = MakeElement("link");
+          link->SetAttribute("rel", "stylesheet");
+          link->SetAttribute("href", "/rcb-mut/" + tag + ".css");
+          if (rng->NextBelow(2) == 0) {
+            link->SetAttribute("class", kBadClass);
+            link->AppendChild(MakeText("inside a void payload root"));
+          }
+          head->AppendChild(std::move(link));
+          break;
+        }
+        case 1:
+          if (!head_children.empty()) {
+            head_children[rng->NextBelow(head_children.size())]->SetAttribute(
+                "data-step", tag);
+          }
+          break;
+        default: {
+          auto script = MakeElement("script");
+          script->AppendChild(MakeText("var v" + tag + " = " + tag + ";"));
+          head->AppendChild(std::move(script));
+          break;
+        }
+      }
+      break;
+    }
+    default: {  // repair: drop every refused construct again
+      while (true) {
+        Element* bad = nullptr;
+        document->document_element()->ForEachElement([&](Element* element) {
+          if (element->AttrOr("class") == kBadClass) {
+            bad = element;
+            return false;
+          }
+          return true;
+        });
+        if (bad == nullptr) {
+          break;
+        }
+        bad->Detach();
+      }
+      break;
+    }
+  }
+}
+
+class WalkIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Every Table 1 homepage through 16 generations of host edits, in cache mode
+// (odd seeds) and out of it. The generator's fused walk must index each
+// version it vouches for exactly as IndexTree indexes the materialized tree
+// (bytes, spans, digest); SnapshotBroadcast must hold that index for every
+// version, through the materialized fallback when the walk refuses; and the
+// diff of the broadcast's indexes must equal the reference tree diff for
+// consecutive versions and for versions 8 apart.
+TEST_P(WalkIndexPropertyTest, WalkIndexEqualsMaterializedIndex) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed * 0x9E3779B9u + 7);
+  size_t vouched = 0;
+  size_t refused = 0;
+  for (const SiteSpec& spec : Table1Sites()) {
+    EventLoop loop;
+    Network network(&loop);
+    Browser browser(&loop, &network, "host-pc");
+    GeneratedSite site = GenerateHomepage(spec);
+    const std::string origin = "http://" + spec.host;
+    browser.ReplaceDocument(ParseDocument(site.html),
+                            Url::Make("http", spec.host, 80, "/"));
+    for (size_t i = 0; i < site.objects.size(); i += 2) {
+      browser.cache().Put(Url::Make("http", spec.host, 80, site.objects[i].path),
+                          site.objects[i].content_type, site.objects[i].body);
+    }
+    ContentGenOptions options;
+    options.cache_mode = seed % 2 == 1;
+    options.agent_url = Url::Make("http", "host-pc", 3000, "/");
+    ContentGenerator walk(&browser);
+    ContentGenerator broadcast_generator(&browser);
+    BroadcastOptions broadcast_options;
+    broadcast_options.enable_delta = true;
+    SnapshotBroadcast broadcast(&broadcast_generator, &loop,
+                                broadcast_options, {});
+
+    std::vector<std::unique_ptr<Element>> trees;
+    std::vector<delta::TreeIndex> indexes;
+    for (int generation = 0; generation < 16; ++generation) {
+      if (generation > 0) {
+        browser.MutateDocument([&](Document* document) {
+          MutateHostDocument(document, &rng, generation, origin);
+        });
+      }
+      const int64_t doc_time = 1000 + generation;
+      const std::string where = spec.name + " seed " + std::to_string(seed) +
+                                " generation " + std::to_string(generation);
+      delta::TreeIndex walk_index;
+      GenerationResult result = walk.Generate(doc_time, options, &walk_index);
+      std::unique_ptr<Element> tree = MaterializeSnapshotTree(result.snapshot);
+      delta::TreeIndex reference;
+      delta::IndexTree(*tree, &reference);
+      if (result.indexed) {
+        ++vouched;
+        ASSERT_EQ(walk_index.bytes, reference.bytes) << where;
+        ASSERT_EQ(walk_index.canonical_size, reference.canonical_size)
+            << where;
+        ASSERT_EQ(walk_index.spans, reference.spans) << where;
+        ASSERT_EQ(delta::TreeDigest(walk_index), delta::TreeDigest(*tree))
+            << where;
+      } else {
+        ++refused;
+      }
+      // The unmutated homepages parse back to themselves.
+      if (generation == 0) {
+        ASSERT_TRUE(result.indexed) << where;
+      }
+
+      SnapshotBroadcast::Slot& slot = broadcast.Refresh(
+          options.cache_mode, false, doc_time, options.agent_url, {});
+      ASSERT_EQ(slot.snapshot.body->inner_html, result.snapshot.body->inner_html)
+          << where;
+      ASSERT_EQ(slot.current.index, reference) << where;
+      ASSERT_EQ(slot.current.digest, delta::TreeDigest(*tree)) << where;
+      broadcast.Invalidate();
+
+      trees.push_back(std::move(tree));
+      indexes.push_back(slot.current.index);
+      for (int back : {1, 8}) {
+        if (generation < back) {
+          continue;
+        }
+        const size_t base = static_cast<size_t>(generation - back);
+        ASSERT_EQ(delta::DiffTrees(indexes[base], indexes.back()),
+                  delta::reference::ReferenceDiffTrees(*trees[base],
+                                                       *trees.back()))
+            << where << " against " << back << " back";
+      }
+    }
+  }
+  // Both paths ran: versions the walk indexed and versions it refused.
+  EXPECT_GT(vouched, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WalkIndexPropertyTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 // ---- Integrity-checked applier -------------------------------------------
 

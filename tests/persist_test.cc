@@ -259,6 +259,24 @@ TEST(SessionStoreTest, CheckpointAndTruncateBoundsLogGrowth) {
   EXPECT_FALSE(loaded->wal_tail_discarded);
 }
 
+TEST(SessionStoreTest, WritesUnderAMissingDirectoryFail) {
+  PersistOptions options;
+  options.dir = MakePersistDir("missing") + "/not-created";
+  PersistCounters counters;
+  SessionStore store("alpha", options, &counters, nullptr);
+  WalRecord seq;
+  seq.type = WalRecordType::kSeq;
+  seq.pid = "p1";
+  seq.seq = 1;
+  Status append = store.Append(seq);
+  EXPECT_EQ(append.code(), StatusCode::kInternal) << append;
+  EXPECT_NE(append.message().find("cannot open"), std::string::npos)
+      << append;
+  Status checkpoint = store.WriteCheckpoint(MakeCheckpoint());
+  EXPECT_EQ(checkpoint.code(), StatusCode::kInternal) << checkpoint;
+  EXPECT_FALSE(fs::exists(options.dir));
+}
+
 TEST(SessionStoreTest, DoubleRunsProduceByteIdenticalFiles) {
   auto run = [](const std::string& dir) {
     PersistOptions options;

@@ -30,6 +30,26 @@ int HexValue(char c) {
   return -1;
 }
 
+// Emits a code point: a raw byte for the Latin-1 range (our DOM stores
+// bytes), UTF-8 for anything above it.
+void AppendCodePoint(uint32_t cp, std::string* out) {
+  if (cp <= 0xFF) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp <= 0x7FF) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp <= 0xFFFF) {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
 }  // namespace
 
 std::string ReferenceJsUnescape(std::string_view input) {
@@ -43,15 +63,11 @@ std::string ReferenceJsUnescape(std::string_view input) {
       int h3 = HexValue(input[i + 4]);
       int h4 = HexValue(input[i + 5]);
       if (h1 >= 0 && h2 >= 0 && h3 >= 0 && h4 >= 0) {
-        int cp = (h1 << 12) | (h2 << 8) | (h3 << 4) | h4;
-        if (cp <= 0xFF) {
-          out.push_back(static_cast<char>(cp));
-        } else {
-          // Encode as UTF-8 for code points above Latin-1; our DOM stores
-          // bytes, so this is the round-trippable representation.
-          out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-          out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-        }
+        // Latin-1 as raw bytes, UTF-8 above: our DOM stores bytes, so
+        // this is the round-trippable representation.
+        AppendCodePoint(
+            static_cast<uint32_t>((h1 << 12) | (h2 << 8) | (h3 << 4) | h4),
+            &out);
         i += 6;
         continue;
       }
@@ -101,26 +117,6 @@ constexpr NamedEntity kNamedEntities[] = {
     {"hellip", 0x2026},{"dagger", 0x2020},{"permil", 0x2030},{"trade", 0x2122},
     {"larr", 0x2190},  {"uarr", 0x2191}, {"rarr", 0x2192}, {"darr", 0x2193},
 };
-
-// Emits a code point: a raw byte for the Latin-1 range (our DOM stores
-// bytes), UTF-8 for anything above it.
-void AppendCodePoint(uint32_t cp, std::string* out) {
-  if (cp <= 0xFF) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp <= 0x7FF) {
-    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp <= 0xFFFF) {
-    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  }
-}
 
 }  // namespace
 

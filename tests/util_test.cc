@@ -172,6 +172,11 @@ TEST(EscapeTest, JsUnescapeInverse) {
 
 TEST(EscapeTest, JsUnescapeHandlesUnicodeForm) {
   EXPECT_EQ(JsUnescape("%u0041"), "A");
+  // Above U+07FF the UTF-8 form takes three bytes.
+  EXPECT_EQ(JsUnescape("%u07FF"), "\xDF\xBF");
+  EXPECT_EQ(JsUnescape("%u0800"), "\xE0\xA0\x80");
+  EXPECT_EQ(JsUnescape("%u20AC"), "\xE2\x82\xAC");
+  EXPECT_EQ(JsUnescape("%uFFFF"), "\xEF\xBF\xBF");
   // Malformed sequences pass through.
   EXPECT_EQ(JsUnescape("%zz"), "%zz");
   EXPECT_EQ(JsUnescape("%"), "%");
